@@ -1,0 +1,273 @@
+//! `viprof stat` — telemetry inspection.
+//!
+//! Reads the self-telemetry a session exported alongside its samples
+//! (`/var/log/viprof/telemetry.json` inside the session directory) and
+//! prints a pipeline health summary: sample flow, drop rates, daemon
+//! and supervisor behaviour, resolution quality ratios, per-stage
+//! breakdown, and the flight-recorder tail.
+//!
+//! ```text
+//!   --schema     print the metric catalog (one `<kind> <name>` line
+//!                per metric) — diffed against scripts/telemetry-schema.txt
+//!                by scripts/verify.sh
+//!   --json       print the session's runtime telemetry snapshot as
+//!                canonical JSON instead of the summary
+//!   --health     evaluate the default health rules over the session's
+//!                exported timeline and print the findings (with
+//!                --json: the health report as canonical JSON)
+//!   --events N   show the last N flight-recorder events (default 10)
+//!   --histograms print every histogram's per-bucket log2 rows after
+//!                the summary (the summary shows only quantile-ish
+//!                spreads)
+//! ```
+
+use super::{artifact, Cli};
+use oprofile::{ReportOptions, TELEMETRY_PATH, TIMELINE_PATH};
+use viprof::Viprof;
+use viprof_telemetry::{
+    bucket_hi, bucket_lo, log2_rows, names, HealthReport, TelemetrySnapshot, Timeline,
+};
+
+pub(super) fn run(cli: &Cli) {
+    if cli.has("--schema") {
+        if !cli.paths.is_empty() {
+            super::usage();
+        }
+        for line in names::schema_lines() {
+            println!("{line}");
+        }
+        return;
+    }
+    let tail = cli.value("--events").unwrap_or(10usize);
+    // The resolve pass below keeps every row: its row count is a
+    // metric, not a view.
+    let spec = cli.spec().with_options(ReportOptions::default());
+    let (dir, kernel) = cli.session();
+    let runtime = artifact(&kernel, TELEMETRY_PATH, TelemetrySnapshot::from_json)
+        .unwrap_or_else(|e| cli.fail(e));
+
+    if cli.has("--health") {
+        let timeline =
+            artifact(&kernel, TIMELINE_PATH, Timeline::from_json).unwrap_or_else(|e| cli.fail(e));
+        let report = HealthReport::evaluate(&timeline);
+        if cli.has("--json") {
+            println!("{}", report.to_json());
+        } else {
+            print!("{}", report.render_text());
+        }
+        return;
+    }
+
+    if cli.has("--json") {
+        // Re-serialize: the output is the canonical deterministic form
+        // regardless of how the file on disk was formatted.
+        println!("{}", runtime.to_json());
+        return;
+    }
+
+    // Resolve-side metrics: re-run the resolve pass over the exported
+    // database, if one is present (its telemetry is deterministic, so
+    // "re-run" and "what the session saw" agree).
+    let resolve = cli
+        .sample_db(&kernel)
+        .ok()
+        .and_then(|(db, _)| Viprof::make_report(&db, &kernel, &spec).ok());
+    let resolve = resolve.as_ref().map(|r| &r.telemetry);
+
+    println!("session {}", dir.display());
+    print_flow(&runtime);
+    print_pipeline(&runtime);
+    if let Some(t) = resolve {
+        print_resolution(t);
+    }
+    print_stages(&runtime, resolve);
+    if cli.has("--histograms") {
+        print_histograms(&runtime, resolve);
+    }
+    print_events(&runtime, tail);
+}
+
+/// Per-bucket log2 rows for every histogram — the full distribution
+/// behind the summary's one-line spreads. Formatting shared with
+/// `viprof trace --top` via [`log2_rows`].
+fn print_histograms(runtime: &TelemetrySnapshot, resolve: Option<&TelemetrySnapshot>) {
+    println!("-- histograms (log2 buckets) --");
+    for snap in std::iter::once(runtime).chain(resolve) {
+        for h in &snap.histograms {
+            println!("  {} — count {}, sum {}", h.name, h.count, h.sum);
+            for row in log2_rows(&h.buckets) {
+                println!("    {row}");
+            }
+        }
+    }
+}
+
+fn pct(part: u64, whole: u64) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        100.0 * part as f64 / whole as f64
+    }
+}
+
+fn print_flow(t: &TelemetrySnapshot) {
+    let delivered = t.counter(names::CPU_SAMPLES_DELIVERED);
+    let pushed = t.counter(names::BUFFER_PUSHED);
+    let dropped = t.counter(names::BUFFER_DROPPED);
+    println!("-- sample flow --");
+    println!("  nmi samples delivered   {delivered}");
+    println!(
+        "  suppressed (skipped nmi) {}",
+        t.counter(names::CPU_SAMPLES_SUPPRESSED)
+    );
+    println!(
+        "  buffer pushed / dropped {pushed} / {dropped} ({:.2}% dropped)",
+        pct(dropped, pushed + dropped)
+    );
+}
+
+fn print_pipeline(t: &TelemetrySnapshot) {
+    println!("-- daemon / journal --");
+    println!(
+        "  wakeups / drains / stalls {} / {} / {}",
+        t.counter(names::DAEMON_WAKEUPS),
+        t.counter(names::DAEMON_DRAINS),
+        t.counter(names::DAEMON_STALLS)
+    );
+    println!(
+        "  journal appends / commits / repairs {} / {} / {}",
+        t.counter(names::JOURNAL_APPENDS),
+        t.counter(names::JOURNAL_COMMITS),
+        t.counter(names::JOURNAL_REPAIRS)
+    );
+    let restarts = t.counter(names::SUPERVISOR_RESTARTS);
+    if restarts > 0 || t.counter(names::SUPERVISOR_MISSED) > 0 {
+        println!(
+            "  supervisor restarts / missed / redrained {} / {} / {} (last backoff {})",
+            restarts,
+            t.counter(names::SUPERVISOR_MISSED),
+            t.counter(names::SUPERVISOR_REDRAINED_SAMPLES),
+            t.gauge(names::SUPERVISOR_LAST_BACKOFF)
+        );
+    }
+    let backoffs = t.counter(names::GOVERNOR_BACKOFFS);
+    let recoveries = t.counter(names::GOVERNOR_RECOVERIES);
+    let misses = t.counter(names::DAEMON_DEADLINE_MISSES);
+    if backoffs > 0 || recoveries > 0 || misses > 0 {
+        println!(
+            "  governor backoffs / recoveries / escalations {} / {} / {} \
+             (period {}, {} deadline misses, {} evicted)",
+            backoffs,
+            recoveries,
+            t.counter(names::GOVERNOR_ESCALATIONS),
+            t.gauge(names::GOVERNOR_PERIOD),
+            misses,
+            t.counter(names::DB_EVICTED_SAMPLES)
+        );
+    }
+    println!(
+        "  agent maps written {} ({} entries), gc epochs {}",
+        t.counter(names::AGENT_MAPS_WRITTEN),
+        t.counter(names::AGENT_MAP_ENTRIES),
+        t.counter(names::AGENT_GC_EPOCHS)
+    );
+    let registrations = t.counter(names::REGISTRY_REGISTRATIONS);
+    let bumps = t.counter(names::REGISTRY_GENERATION_BUMPS);
+    let reaps = t.counter(names::REGISTRY_REAPS);
+    let dead_dropped = t.counter(names::DAEMON_DEAD_GEN_DROPPED);
+    if bumps > 0 || reaps > 0 || dead_dropped > 0 {
+        println!(
+            "  process churn: {} registration(s), {} generation bump(s), \
+             {} reap(s), {} dead-generation sample(s) dropped",
+            registrations, bumps, reaps, dead_dropped
+        );
+    }
+}
+
+fn print_resolution(t: &TelemetrySnapshot) {
+    let resolved = t.counter(names::RESOLVE_SAMPLES_RESOLVED);
+    let stale = t.counter(names::RESOLVE_SAMPLES_STALE_EPOCH);
+    let unresolved = t.counter(names::RESOLVE_SAMPLES_UNRESOLVED);
+    let blocked = t.counter(names::RESOLVE_SAMPLES_CROSS_INCARNATION_BLOCKED);
+    let total = resolved + stale + unresolved + blocked;
+    println!("-- resolution --");
+    println!(
+        "  resolved {} ({:.2}%), stale-epoch {} ({:.2}%), unresolved {} ({:.2}%)",
+        resolved,
+        pct(resolved, total),
+        stale,
+        pct(stale, total),
+        unresolved,
+        pct(unresolved, total)
+    );
+    if blocked > 0 {
+        println!(
+            "  cross-incarnation blocked {} ({:.2}%) — attribution never crosses a restart",
+            blocked,
+            pct(blocked, total)
+        );
+    }
+    println!(
+        "  damage: {} quarantined lines, {} skipped map files, {} failed pids, {} missing epochs",
+        t.counter(names::RESOLVE_QUARANTINED_LINES),
+        t.counter(names::RESOLVE_SKIPPED_MAP_FILES),
+        t.counter(names::RESOLVE_FAILED_PIDS),
+        t.counter(names::RESOLVE_MISSING_EPOCHS)
+    );
+    let panics = t.counter(names::RESOLVE_SHARD_PANICS);
+    if panics > 0 {
+        println!(
+            "  shard panics {} — {} sample(s) quarantined",
+            panics,
+            t.counter(names::RESOLVE_SAMPLES_QUARANTINED)
+        );
+    }
+    let evicted = t.counter(names::RESOLVE_SAMPLES_EVICTED);
+    if evicted > 0 {
+        println!("  admission-cap evictions {evicted}");
+    }
+    if let Some(h) = t.histogram(names::RESOLVE_SHARD_SAMPLES) {
+        let spread: Vec<String> = h
+            .buckets
+            .iter()
+            .map(|(k, n)| format!("{}x[{}..{}]", n, bucket_lo(*k), bucket_hi(*k)))
+            .collect();
+        println!(
+            "  shards {} — samples/shard {}",
+            t.gauge(names::RESOLVE_SHARDS),
+            spread.join(" ")
+        );
+    }
+    println!("  report rows {}", t.counter(names::REPORT_ROWS));
+}
+
+fn print_stages(runtime: &TelemetrySnapshot, resolve: Option<&TelemetrySnapshot>) {
+    println!("-- stages (virtual cycles; resolve stages count work units) --");
+    for snap in std::iter::once(runtime).chain(resolve) {
+        for s in &snap.stages {
+            println!(
+                "  {:<24} {:>8} entries {:>14} units",
+                s.name, s.entries, s.cycles
+            );
+        }
+    }
+}
+
+fn print_events(t: &TelemetrySnapshot, tail: usize) {
+    println!(
+        "-- flight recorder ({} events, {} evicted) --",
+        t.events.len(),
+        t.events_dropped
+    );
+    let skip = t.events.len().saturating_sub(tail);
+    for e in &t.events[skip..] {
+        let fields: Vec<String> = e.fields.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        println!(
+            "  [{:>12}] {:<24} {} {}",
+            e.cycles,
+            e.kind,
+            e.detail,
+            fields.join(" ")
+        );
+    }
+}

@@ -31,8 +31,9 @@
 //! [`session::Viprof`] wires everything together; [`callgraph`] adds the
 //! cross-layer call-sequence profiles §4.2 mentions; [`xen`] implements
 //! the §5 future work (hypervisor layer + multiple concurrent stacks,
-//! XenoProf-style). The `viprof-report` binary post-processes exported
-//! sessions offline, like `opreport` after `opcontrol --stop`.
+//! XenoProf-style). The `viprof` binary (`viprof report`, `stat`, `trace`,
+//! `top`, `diff`) post-processes exported sessions offline, like
+//! `opreport` after `opcontrol --stop`.
 
 pub mod agent;
 pub mod bootmap;

@@ -23,6 +23,7 @@ use sim_cpu::{Pid, ProcKey};
 use sim_jvm::bootimage::{BOOT_IMAGE_NAME, RVM_MAP_IMAGE_LABEL};
 use sim_os::{ImageId, Kernel};
 use std::collections::HashMap;
+use viprof_telemetry::json::{Json, ToJson};
 use viprof_telemetry::{impl_to_json, names, Telemetry};
 
 /// Per-run accounting of how well resolution went. Every sample in the
@@ -73,6 +74,29 @@ impl ResolutionQuality {
             + self.unresolved
             + self.quarantined
             + self.cross_incarnation_blocked
+    }
+}
+
+/// Every counter in declaration order, then `accounted`.
+impl ToJson for ResolutionQuality {
+    fn to_json(&self) -> Json {
+        Json::obj(
+            [
+                ("resolved", self.resolved),
+                ("stale_epoch", self.stale_epoch),
+                ("unresolved", self.unresolved),
+                ("quarantined", self.quarantined),
+                ("cross_incarnation_blocked", self.cross_incarnation_blocked),
+                ("dropped", self.dropped),
+                ("evicted", self.evicted),
+                ("quarantined_lines", self.quarantined_lines),
+                ("skipped_map_files", self.skipped_map_files),
+                ("failed_pids", self.failed_pids),
+                ("missing_epochs", self.missing_epochs),
+                ("accounted", self.accounted()),
+            ]
+            .map(|(k, v)| (k, Json::Num(v))),
+        )
     }
 }
 

@@ -1,13 +1,13 @@
-//! CLI stdout contracts: with `--json` (and `--chrome`) each binary's
+//! CLI stdout contracts: with `--json` (and `--chrome`) each subcommand's
 //! stdout must be *exactly one* machine-parseable JSON document — all
 //! status, warnings, and progress go to stderr. Scripts pipe these
 //! outputs straight into `jq` or another JSON parser, so a single stray
 //! banner line is a regression.
 //!
 //! The fixture is a real fixed-config session exported to disk with
-//! [`Viprof::export_session`], then inspected through the installed
-//! binaries via `CARGO_BIN_EXE_*` (which is why this test lives in the
-//! `viprof` package rather than the workspace-root suite).
+//! [`Viprof::export_session`], then inspected through the `viprof`
+//! binary via `CARGO_BIN_EXE_viprof` (which is why this test lives in
+//! the `viprof` package rather than the workspace-root suite).
 
 use oprofile::OpConfig;
 use sim_cpu::{BlockExec, CpuMode};
@@ -30,17 +30,21 @@ fn export_fixture(tag: &str) -> PathBuf {
         .config(OpConfig::time_at(10_000))
         .journal(true)
         .start(&mut m);
-    m.exec(&BlockExec::compute(pid, CpuMode::User, (0x1000, 0x2000), 1_000_000));
+    m.exec(&BlockExec::compute(pid, CpuMode::User, (0x1000, 0x2000), 30_000_000));
+    // One kernel sample among ~3000: a row under `viprof report`'s
+    // default 0.05% floor, so row sets that ignore the floor differ.
+    let k = sim_os::kernel::KERNEL_TEXT_BASE;
+    m.exec(&BlockExec::compute(pid, CpuMode::Kernel, (k + 0x3000, k + 0x3100), 10_000));
     vp.stop(&mut m);
     Viprof::export_session(&mut m, &dir).expect("export session");
     dir
 }
 
-fn run(bin: &str, args: &[&str]) -> Output {
-    Command::new(bin)
+fn run(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_viprof"))
         .args(args)
         .output()
-        .unwrap_or_else(|e| panic!("spawn {bin}: {e}"))
+        .unwrap_or_else(|e| panic!("spawn viprof {args:?}: {e}"))
 }
 
 /// The contract under test: the whole of stdout is one JSON document.
@@ -65,25 +69,37 @@ fn json_modes_emit_exactly_one_document_on_stdout() {
     let dir = export_fixture("purity");
     let dir_s = dir.to_str().expect("utf-8 temp path");
 
-    // viprof-stat --json: the runtime telemetry snapshot.
-    let out = run(env!("CARGO_BIN_EXE_viprof-stat"), &[dir_s, "--json"]);
-    let v = assert_stdout_is_one_json_document(&out, "viprof-stat --json");
+    // viprof stat --json: the runtime telemetry snapshot.
+    let out = run(&["stat", dir_s, "--json"]);
+    let v = assert_stdout_is_one_json_document(&out, "viprof stat --json");
     assert!(v.get("counters").is_some(), "telemetry snapshot shape: {v:?}");
 
-    // viprof-stat --health --json: the health report over the timeline.
-    let out = run(env!("CARGO_BIN_EXE_viprof-stat"), &[dir_s, "--health", "--json"]);
-    let v = assert_stdout_is_one_json_document(&out, "viprof-stat --health --json");
+    // viprof stat --health --json: the health report over the timeline.
+    let out = run(&["stat", dir_s, "--health", "--json"]);
+    let v = assert_stdout_is_one_json_document(&out, "viprof stat --health --json");
     assert!(v.get("findings").is_some(), "health report shape: {v:?}");
 
-    // viprof-trace --json: the structured span dump.
-    let out = run(env!("CARGO_BIN_EXE_viprof-trace"), &[dir_s, "--json"]);
-    let v = assert_stdout_is_one_json_document(&out, "viprof-trace --json");
+    // viprof trace --json: the structured span dump.
+    let out = run(&["trace", dir_s, "--json"]);
+    let v = assert_stdout_is_one_json_document(&out, "viprof trace --json");
     assert!(v.get("spans").is_some(), "span dump shape: {v:?}");
 
-    // viprof-trace --chrome: the canonical Chrome trace-event JSON.
-    let out = run(env!("CARGO_BIN_EXE_viprof-trace"), &[dir_s, "--chrome"]);
-    let v = assert_stdout_is_one_json_document(&out, "viprof-trace --chrome");
+    // viprof trace --chrome: the canonical Chrome trace-event JSON.
+    let out = run(&["trace", dir_s, "--chrome"]);
+    let v = assert_stdout_is_one_json_document(&out, "viprof trace --chrome");
     assert!(v.get("traceEvents").is_some(), "chrome trace shape: {v:?}");
+
+    // viprof report --json: the resolved profile.
+    let out = run(&["report", dir_s, "--json"]);
+    let v = assert_stdout_is_one_json_document(&out, "viprof report --json");
+    assert!(v.get("rows").is_some(), "report shape: {v:?}");
+
+    // viprof top --json: the sealed live snapshot; mid-run snapshots
+    // requested with --interval go to stderr.
+    let out = run(&["top", dir_s, "--json", "--interval", "1"]);
+    let v = assert_stdout_is_one_json_document(&out, "viprof top --json");
+    assert!(v.get("quality").is_some(), "sealed snapshot shape: {v:?}");
+    assert!(!out.stderr.is_empty(), "progress snapshots went to stderr");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -96,12 +112,11 @@ fn diff_json_is_one_document_and_exit_codes_split_pass_fail() {
     assert!(telemetry.is_file(), "export includes telemetry.json");
     assert!(timeline.is_file(), "export includes timeline.json");
 
-    let diff = env!("CARGO_BIN_EXE_viprof-diff");
     let path = |p: &Path| p.to_str().expect("utf-8 temp path").to_owned();
 
     // Identical artifacts: exit 0 and a single JSON report on stdout.
-    let out = run(diff, &[&path(&telemetry), &path(&telemetry), "--json"]);
-    let v = assert_stdout_is_one_json_document(&out, "viprof-diff self vs self");
+    let out = run(&["diff", &path(&telemetry), &path(&telemetry), "--json"]);
+    let v = assert_stdout_is_one_json_document(&out, "viprof diff self vs self");
     assert_eq!(
         v.get("regressions"),
         Some(&Json::Num(0)),
@@ -110,7 +125,7 @@ fn diff_json_is_one_document_and_exit_codes_split_pass_fail() {
 
     // Artifacts of different kinds: usage/loader error, exit 2, stdout
     // stays empty (errors belong to stderr even in JSON mode).
-    let out = run(diff, &[&path(&telemetry), &path(&timeline), "--json"]);
+    let out = run(&["diff", &path(&telemetry), &path(&timeline), "--json"]);
     assert_eq!(out.status.code(), Some(2), "kind mismatch is a usage error");
     assert!(out.stdout.is_empty(), "error path writes nothing to stdout");
     assert!(!out.stderr.is_empty(), "error path explains itself on stderr");
@@ -132,7 +147,7 @@ fn diff_json_is_one_document_and_exit_codes_split_pass_fail() {
     }
     std::fs::write(&perturbed, doc.to_compact()).expect("write perturbed");
 
-    let out = run(diff, &[&path(&telemetry), &path(&perturbed), "--json"]);
+    let out = run(&["diff", &path(&telemetry), &path(&perturbed), "--json"]);
     assert_eq!(out.status.code(), Some(1), "regression exits 1");
     let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
     let v = Json::parse(stdout.trim_end_matches('\n'))
@@ -141,4 +156,27 @@ fn diff_json_is_one_document_and_exit_codes_split_pass_fail() {
     assert!(regressions.unwrap_or(0) >= 1, "regression recorded: {v:?}");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `viprof top` resolves its sealed snapshot with the same spec as
+/// `viprof report`, so over one journaled session both list the same
+/// rows.
+#[test]
+fn top_sealed_rows_equal_report_rows() {
+    let dir = export_fixture("top-rows");
+    let dir_s = dir.to_str().expect("utf-8 temp path");
+    let threads = ["--threads", "2"];
+    let report = run(&[&["report", dir_s, "--json"][..], &threads].concat());
+    let report = assert_stdout_is_one_json_document(&report, "viprof report --json");
+    let top = run(&[&["top", dir_s, "--json"][..], &threads].concat());
+    let top = assert_stdout_is_one_json_document(&top, "viprof top --json");
+    let unfloored = run(&[&["report", dir_s, "--json", "--min", "0"][..], &threads].concat());
+    let unfloored = assert_stdout_is_one_json_document(&unfloored, "viprof report --min 0");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        matches!(report.get("rows"), Some(Json::Arr(rows)) if !rows.is_empty()),
+        "report has rows: {report:?}"
+    );
+    assert_ne!(unfloored.get("rows"), report.get("rows"), "the fixture has a row under the floor");
+    assert_eq!(top.get("rows"), report.get("rows"));
 }

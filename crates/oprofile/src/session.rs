@@ -23,16 +23,16 @@ pub const SAMPLES_PATH: &str = "/var/lib/oprofile/samples/current.db";
 pub const SAMPLE_JOURNAL_PATH: &str = "/var/lib/oprofile/samples/journal";
 
 /// VFS path where `stop` persists the session's telemetry snapshot
-/// (deterministic JSON; `viprof-stat` reads it back).
+/// (deterministic JSON; `viprof stat` reads it back).
 pub const TELEMETRY_PATH: &str = "/var/log/viprof/telemetry.json";
 
 /// VFS path where `stop` persists the session's causal trace as Chrome
-/// trace-event JSON (`viprof-trace` reads it back).
+/// trace-event JSON (`viprof trace` reads it back).
 pub const TRACE_PATH: &str = "/var/log/viprof/trace.json";
 
 /// VFS path where `stop` persists the session's sampled timeline
 /// (per-drain-window telemetry deltas; the resolver evaluates health
-/// rules over it and `viprof-diff` compares two of them).
+/// rules over it and `viprof diff` compares two of them).
 pub const TIMELINE_PATH: &str = "/var/log/viprof/timeline.json";
 
 /// A running profiling session.

@@ -3,7 +3,7 @@
 //! The JSON form is fully ordered — object keys come from sorted
 //! registry iteration and every value is an integer — so two runs with
 //! the same seed produce byte-identical bytes. `from_json` reads
-//! snapshots back (`viprof-stat` consumes exported sessions offline).
+//! snapshots back (`viprof stat` consumes exported sessions offline).
 //! Both go through the crate's one codec, [`crate::json`].
 
 use crate::json::{Json, JsonWriter};
@@ -197,7 +197,7 @@ impl TelemetrySnapshot {
         Ok(snap)
     }
 
-    /// Aligned human rendering (the `viprof-stat` default view).
+    /// Aligned human rendering (the `viprof stat` default view).
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         if !self.counters.is_empty() {
@@ -268,7 +268,7 @@ fn lookup(list: &[(String, u64)], name: &str) -> u64 {
 /// shape [`crate::metrics::Histogram::nonzero_buckets`] and
 /// [`crate::trace::TraceSnapshot::duration_buckets`] produce) as
 /// aligned `[lo..hi] count` rows — the one formatter shared by
-/// `viprof-stat --histograms` and `viprof-trace --top`.
+/// `viprof stat --histograms` and `viprof trace --top`.
 pub fn log2_rows(buckets: &[(usize, u64)]) -> Vec<String> {
     buckets
         .iter()

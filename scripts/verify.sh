@@ -2,7 +2,7 @@
 # Tier-1 verification: what every PR must keep green.
 #
 #   scripts/verify.sh            # build + tests + clippy + docs + deprecation gate + bench smoke
-#   scripts/verify.sh --fast     # build + tests only
+#   scripts/verify.sh --fast     # build + tests (root package and workspace) only
 #
 # Run from anywhere; operates on the workspace containing this script.
 set -euo pipefail
@@ -24,6 +24,12 @@ cargo build --release
 
 echo "==> cargo test -q"
 cargo test -q
+
+# The root package above holds the integration suites; every crate's
+# unit tests, the CLI's own tests and its stdout contracts
+# (crates/core/tests/cli_json.rs) run only across the workspace.
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
 
 if [[ "${1:-}" != "--fast" ]]; then
     echo "==> clippy"
@@ -61,15 +67,15 @@ if [[ "${1:-}" != "--fast" ]]; then
 
     # Telemetry self-check: a mini end-to-end session whose persisted
     # snapshot must parse, round-trip canonically, and reconcile.
-    echo "==> viprof-stat --selftest"
-    cargo run --release -p viprof --bin viprof-stat -- --selftest
+    echo "==> telemetry export self-check"
+    cargo test -q --test telemetry stopped_session_exports_round_trip_and_reconcile
 
     # Trace-determinism self-check: two fixed-seed sessions must export
     # byte-identical Chrome trace JSON, the resolve-pass trace must be
     # bit-identical across thread counts {1,4}, and every lineage
     # bucket must reconcile exactly with the resolution quality.
-    echo "==> viprof-trace --selftest"
-    cargo run --release -p viprof --bin viprof-trace -- --selftest
+    echo "==> trace determinism self-check"
+    cargo test -q --test telemetry fixed_seed_trace_is_deterministic_and_lineage_reconciles
 
     # Trace/lineage smoke: the engine tests that assert lineage totals
     # reconcile with quality, attribute losses to journaled batches,
@@ -95,20 +101,20 @@ if [[ "${1:-}" != "--fast" ]]; then
     # Differ self-check: the deterministic synthetic session must diff
     # to zero against itself, a perturbed seed must not, kind mixing
     # must be rejected, and the emitted baselines must match in-memory.
-    echo "==> viprof-diff --selftest"
-    cargo run --release -p viprof --bin viprof-diff -- --selftest
+    echo "==> differ self-check"
+    cargo test -q -p viprof --bin viprof same_seed_diffs_to_zero_and_perturbed_seed_does_not
 
     # Baseline gate: regenerating the committed fixed-seed baselines
     # must produce artifacts that diff to zero against results/ — any
     # timeline/telemetry determinism drift, schema drift, or synthetic-
     # session change fails here until the baselines are regenerated in
-    # the same change (viprof-diff --emit-baseline results/).
+    # the same change (viprof diff --emit-baseline results/).
     echo "==> baseline drift check"
     BASELINE_TMP="$(mktemp -d)"
-    cargo run --release -p viprof --bin viprof-diff -- --emit-baseline "$BASELINE_TMP"
+    cargo run --release -p viprof --bin viprof -- diff --emit-baseline "$BASELINE_TMP"
     for b in baseline_telemetry.json baseline_timeline.json; do
-        cargo run --release -p viprof --bin viprof-diff -- "results/$b" "$BASELINE_TMP/$b" \
-            || { echo "==> $b drifted from results/ (regenerate with viprof-diff --emit-baseline results/)"; exit 1; }
+        cargo run --release -p viprof --bin viprof -- diff "results/$b" "$BASELINE_TMP/$b" \
+            || { echo "==> $b drifted from results/ (regenerate with viprof diff --emit-baseline results/)"; exit 1; }
     done
     rm -rf "$BASELINE_TMP"
 
@@ -125,7 +131,7 @@ if [[ "${1:-}" != "--fast" ]]; then
     # reviewed golden list, so additions/removals fail until the golden
     # file is updated in the same change.
     echo "==> telemetry schema drift check"
-    cargo run --release -p viprof --bin viprof-stat -- --schema \
+    cargo run --release -p viprof --bin viprof -- stat --schema \
         | diff -u scripts/telemetry-schema.txt - \
         || { echo "==> telemetry schema drifted from scripts/telemetry-schema.txt"; exit 1; }
 

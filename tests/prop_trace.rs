@@ -13,7 +13,7 @@
 //!    recovers the exact snapshot (names with quotes, backslashes,
 //!    newlines, control characters and multi-byte UTF-8 included) and
 //!    re-serialization is byte-identical — the determinism contract
-//!    `viprof-trace --selftest` relies on.
+//!    `tests/telemetry.rs` checks on a whole session.
 
 use viprof_repro::sim_os::rng::{check, SplitMix64};
 use viprof_repro::telemetry::trace::{SpanStore, TraceCtx, TraceSnapshot, TRACE_LAYERS};

@@ -9,12 +9,18 @@
 //!   range with no gaps, overlaps, or misfiled boundaries;
 //! * **Schema** — the metric catalog matches the reviewed golden list
 //!   in `scripts/telemetry-schema.txt`, so instrumentation drift fails
-//!   review here and in `scripts/verify.sh`.
+//!   review here and in `scripts/verify.sh`;
+//! * **Exports** — a stopped session's telemetry, timeline and trace
+//!   parse, round-trip canonically and reconcile with each other and
+//!   with the resolve pass (`scripts/verify.sh` runs these two by name).
 
-use viprof_repro::oprofile::session::TELEMETRY_PATH;
-use viprof_repro::oprofile::OpConfig;
+use viprof_repro::oprofile::session::{TELEMETRY_PATH, TIMELINE_PATH, TRACE_PATH};
+use viprof_repro::oprofile::{OpConfig, Oprofile};
+use viprof_repro::sim_cpu::{BlockExec, CpuMode};
+use viprof_repro::sim_os::{Machine, MachineConfig};
 use viprof_repro::telemetry::{
-    bucket_hi, bucket_lo, bucket_of, names, Telemetry, TelemetrySnapshot, BUCKETS,
+    bucket_hi, bucket_lo, bucket_of, names, HealthReport, Telemetry, TelemetrySnapshot, Timeline,
+    TraceSnapshot, BUCKETS,
 };
 use viprof_repro::viprof::{ReportSpec, Viprof};
 use viprof_repro::workloads::{
@@ -158,4 +164,140 @@ fn metric_catalog_matches_the_reviewed_golden_schema() {
         "metric catalog drifted from scripts/telemetry-schema.txt — \
          update the golden file in the same change"
     );
+}
+
+/// A tiny stock-OProfile session must export telemetry that parses,
+/// round-trips byte-identically and accounts for its own sample flow,
+/// and a timeline whose windows telescope to the same counters.
+#[test]
+fn stopped_session_exports_round_trip_and_reconcile() {
+    let mut m = Machine::new(MachineConfig::default());
+    let pid = m.kernel.spawn("selftest");
+    let op = Oprofile::start(&mut m, OpConfig::time_at(10_000));
+    m.exec(&BlockExec::compute(pid, CpuMode::User, (0x1000, 0x2000), 1_000_000));
+    op.stop(&mut m);
+
+    let raw = m
+        .kernel
+        .vfs
+        .read(TELEMETRY_PATH)
+        .expect("session exports telemetry");
+    let text = std::str::from_utf8(raw).expect("telemetry is utf-8");
+    let snap = TelemetrySnapshot::from_json(text).expect("telemetry parses");
+    assert_eq!(snap.to_json(), text, "canonical JSON round-trips");
+    assert_eq!(snap.counter(names::SESSION_INSTALLS), 1);
+    assert_eq!(snap.counter(names::SESSION_STOPS), 1);
+    let delivered = snap.counter(names::CPU_SAMPLES_DELIVERED);
+    assert!(delivered > 0, "sampling ran");
+    assert_eq!(
+        snap.counter(names::BUFFER_PUSHED) + snap.counter(names::BUFFER_DROPPED),
+        delivered,
+        "every delivered sample was pushed or counted dropped"
+    );
+    assert_eq!(snap.events_of(names::EVENT_SESSION_STOP).len(), 1);
+
+    // The timeline export must parse, round-trip byte-identically, and
+    // telescope: its per-window deltas must sum to the cumulative
+    // counters of the telemetry snapshot written at the same stop.
+    let raw = m
+        .kernel
+        .vfs
+        .read(TIMELINE_PATH)
+        .expect("session exports a timeline");
+    let text = std::str::from_utf8(raw).expect("timeline is utf-8");
+    let timeline = Timeline::from_json(text).expect("timeline parses");
+    assert_eq!(timeline.to_json(), text, "canonical timeline JSON round-trips");
+    assert!(!timeline.is_empty(), "drains sampled the timeline");
+    for name in [names::CPU_SAMPLES_DELIVERED, names::BUFFER_PUSHED] {
+        let telescoped: u64 = timeline.windows().iter().map(|w| w.delta(name)).sum();
+        assert_eq!(telescoped, snap.counter(name), "{name} telescopes");
+    }
+    // Health is a pure function of the timeline: findings must agree
+    // with the cumulative counters (no false positives, no misses).
+    let report = HealthReport::evaluate(&timeline);
+    assert_eq!(
+        report.finding(names::HEALTH_BUFFER_OVERFLOW).is_some(),
+        snap.counter(names::BUFFER_DROPPED) > 0,
+        "overflow finding tracks the dropped counter"
+    );
+    assert!(report.finding(names::HEALTH_JOURNAL_REPAIR).is_none());
+    assert_eq!(
+        HealthReport::from_json(&report.to_json()),
+        Ok(report),
+        "health report JSON round-trips"
+    );
+}
+
+/// Fixed-seed trace determinism:
+///
+/// * two identical sessions export byte-identical Chrome trace JSON;
+/// * the resolve pass's trace and lineage are byte-identical across
+///   thread counts {1, 4};
+/// * every lineage bucket total reconciles exactly with the
+///   resolution-quality counts.
+#[test]
+fn fixed_seed_trace_is_deterministic_and_lineage_reconciles() {
+    let run = || {
+        let mut m = Machine::new(MachineConfig {
+            seed: 2007,
+            ..MachineConfig::default()
+        });
+        let pid = m.kernel.spawn("selftest");
+        let vp = Viprof::builder()
+            .config(OpConfig::time_at(10_000))
+            .journal(true)
+            .start(&mut m);
+        m.exec(&BlockExec::compute(
+            pid,
+            CpuMode::User,
+            (0x1000, 0x2000),
+            1_000_000,
+        ));
+        let db = vp.stop(&mut m);
+        (m, db)
+    };
+
+    let (m1, db) = run();
+    let (m2, _) = run();
+    let raw1 = m1
+        .kernel
+        .vfs
+        .read(TRACE_PATH)
+        .expect("session exports a trace");
+    let raw2 = m2.kernel.vfs.read(TRACE_PATH).unwrap();
+    assert_eq!(raw1, raw2, "fixed seed exports byte-identical trace JSON");
+    let text = std::str::from_utf8(raw1).expect("trace is utf-8");
+    let snap = TraceSnapshot::from_chrome_json(text).expect("trace parses");
+    assert_eq!(snap.to_chrome_json(), text, "canonical JSON round-trips");
+    assert_eq!(snap.roots().len(), 1, "one session root");
+    assert!(
+        snap.spans.iter().any(|s| s.parent != 0),
+        "pipeline spans hang off the root"
+    );
+
+    let mut reports = Vec::new();
+    for threads in [1usize, 4] {
+        let spec = ReportSpec::default().threads(threads);
+        let report = Viprof::make_report(&db, &m1.kernel, &spec).expect("resolve succeeds");
+        let q = &report.quality;
+        for (bucket, want) in [
+            ("dropped", q.dropped),
+            ("evicted", q.evicted),
+            ("quarantined", q.quarantined),
+            ("blocked", q.cross_incarnation_blocked),
+        ] {
+            assert_eq!(
+                report.lineage.total(bucket),
+                want,
+                "lineage {bucket} reconciles at {threads} thread(s)"
+            );
+        }
+        reports.push(report);
+    }
+    assert_eq!(
+        reports[0].trace.to_chrome_json(),
+        reports[1].trace.to_chrome_json(),
+        "resolve trace is byte-identical across thread counts"
+    );
+    assert_eq!(reports[0].lineage, reports[1].lineage);
 }
