@@ -1,4 +1,5 @@
-//! Resolution-engine benchmark: legacy per-bucket epoch walk vs. the
+//! Resolution-engine benchmark: the per-bucket epoch walk (the test
+//! oracle in `tests/support/walk.rs`, included below) vs. the
 //! flattened interval index, single-threaded and sharded.
 //!
 //! Synthetic sessions (1M–10M samples, varying epoch depth and PID
@@ -13,9 +14,12 @@
 //! correctness smoke test in seconds.
 //!
 //! The run also measures the cost of the self-telemetry layer on the
-//! acceptance scenario (resolve both paths with and without an
-//! attached registry) and asserts it stays under 3% — always-on
-//! telemetry is a design contract, not a hope.
+//! acceptance scenario (the engine with and without an attached
+//! registry) and asserts it stays under 3% — always-on telemetry is a
+//! design contract, not a hope.
+
+#[path = "../../../../tests/support/walk.rs"]
+mod walk;
 
 use oprofile::report::ReportOptions;
 use oprofile::{SampleBucket, SampleDb, SampleOrigin};
@@ -24,9 +28,10 @@ use sim_os::Kernel;
 use std::time::Instant;
 use viprof::codemap::{map_path, render_map, CodeMapEntry};
 use viprof::resolve::ResolveOptions;
-use viprof::{viprof_report, ReportSpec, ResolutionEngine, ViprofResolver};
+use viprof::{ReportSpec, ResolutionEngine, ViprofResolver};
 use viprof_bench::{quiet, write_artifact};
 use viprof_telemetry::{impl_to_json, Telemetry};
+use walk::Walk;
 
 /// Master seed of the deterministic session generator (each scenario
 /// derives its stream as `GENERATOR_SEED ^ samples`).
@@ -232,13 +237,10 @@ impl_to_json!(BenchGates {
 });
 
 /// Cost of the always-on telemetry layer on the acceptance scenario:
-/// each resolve path timed with and without an attached registry.
+/// the engine's resolve timed with and without an attached registry.
 struct TelemetryOverhead {
     scenario: String,
     runs: u32,
-    legacy_plain_ms: f64,
-    legacy_telemetry_ms: f64,
-    legacy_overhead_pct: f64,
     flat_plain_ms: f64,
     flat_telemetry_ms: f64,
     flat_overhead_pct: f64,
@@ -247,9 +249,6 @@ struct TelemetryOverhead {
 impl_to_json!(TelemetryOverhead {
     scenario,
     runs,
-    legacy_plain_ms,
-    legacy_telemetry_ms,
-    legacy_overhead_pct,
     flat_plain_ms,
     flat_telemetry_ms,
     flat_overhead_pct,
@@ -276,41 +275,21 @@ fn overhead_ok(plain_ms: f64, telemetry_ms: f64) -> bool {
 }
 
 /// Measure telemetry overhead on the report path of one scenario: the
-/// legacy resolver with/without a mirrored registry, and the flat
-/// engine with/without its counter bundle. Min over `runs` trials each,
-/// interleaved so cache warmth favors neither side.
+/// flat engine with/without its counter bundle. Min over `runs` trials
+/// each, interleaved so cache warmth favors neither side.
 fn measure_telemetry_overhead(s: &Scenario, runs: u32) -> TelemetryOverhead {
     let (kernel, db) = build_session(s);
-    let options = ReportOptions::default();
-
-    let (resolver_plain, _) =
+    let (resolver, _) =
         ViprofResolver::load_with(&kernel, ResolveOptions::default()).expect("load maps");
-    let (mut resolver_tel, _) =
-        ViprofResolver::load_with(&kernel, ResolveOptions::default()).expect("load maps");
-    let legacy_registry = Telemetry::new();
-    resolver_tel.set_telemetry(&legacy_registry);
-
-    let mut engine_plain = ResolutionEngine::build(&resolver_plain);
-    let mut engine_tel = ResolutionEngine::build(&resolver_tel);
+    let mut engine_plain = ResolutionEngine::build(&resolver);
+    let mut engine_tel = ResolutionEngine::build(&resolver);
     let flat_registry = Telemetry::new();
     engine_tel.set_telemetry(&flat_registry);
-    let spec = ReportSpec::default().with_options(options.clone()).threads(1);
+    let spec = ReportSpec::default().threads(1);
 
-    let mut legacy_plain_ms = f64::INFINITY;
-    let mut legacy_telemetry_ms = f64::INFINITY;
     let mut flat_plain_ms = f64::INFINITY;
     let mut flat_telemetry_ms = f64::INFINITY;
     for _ in 0..runs {
-        let t = Instant::now();
-        let _ = viprof_report(&db, &kernel, &resolver_plain, &options);
-        let _ = resolver_plain.quality(&db);
-        legacy_plain_ms = legacy_plain_ms.min(ms_since(t));
-
-        let t = Instant::now();
-        let _ = viprof_report(&db, &kernel, &resolver_tel, &options);
-        let _ = resolver_tel.quality(&db);
-        legacy_telemetry_ms = legacy_telemetry_ms.min(ms_since(t));
-
         let t = Instant::now();
         let _ = engine_plain.resolve(&db, &kernel, &spec);
         flat_plain_ms = flat_plain_ms.min(ms_since(t));
@@ -323,9 +302,6 @@ fn measure_telemetry_overhead(s: &Scenario, runs: u32) -> TelemetryOverhead {
     TelemetryOverhead {
         scenario: s.name.to_string(),
         runs,
-        legacy_plain_ms,
-        legacy_telemetry_ms,
-        legacy_overhead_pct: (legacy_telemetry_ms - legacy_plain_ms) / legacy_plain_ms * 100.0,
         flat_plain_ms,
         flat_telemetry_ms,
         flat_overhead_pct: (flat_telemetry_ms - flat_plain_ms) / flat_plain_ms * 100.0,
@@ -368,7 +344,7 @@ fn run_scenario(s: &Scenario, trials: u32, thread_counts: &[usize]) -> ScenarioR
     let options = ReportOptions::default();
     let total = db.total_samples() as f64;
 
-    // Legacy reference: epoch-walk resolver, report + quality.
+    // Legacy reference: the per-bucket epoch walk, report + quality.
     let mut legacy_setup = f64::INFINITY;
     let mut legacy_report_ms = f64::INFINITY;
     let mut walk = None;
@@ -376,10 +352,11 @@ fn run_scenario(s: &Scenario, trials: u32, thread_counts: &[usize]) -> ScenarioR
         let t0 = Instant::now();
         let (resolver, _) =
             ViprofResolver::load_with(&kernel, ResolveOptions::default()).expect("load maps");
+        let oracle = Walk::new(&resolver, &kernel);
         let setup = ms_since(t0);
         let t1 = Instant::now();
-        let report = viprof_report(&db, &kernel, &resolver, &options);
-        let quality = resolver.quality(&db);
+        let report = oracle.report(&db, &options);
+        let quality = oracle.quality(&db);
         legacy_report_ms = legacy_report_ms.min(ms_since(t1));
         legacy_setup = legacy_setup.min(setup);
         walk = Some((report, quality));
@@ -486,24 +463,15 @@ fn main() {
     }
     let overhead = measure_telemetry_overhead(&accept, trials.max(5));
     println!(
-        "telemetry overhead ({}): legacy {:+.2}% ({:.1} -> {:.1} ms) | flat {:+.2}% ({:.1} -> {:.1} ms)",
+        "telemetry overhead ({}): flat {:+.2}% ({:.1} -> {:.1} ms)",
         overhead.scenario,
-        overhead.legacy_overhead_pct,
-        overhead.legacy_plain_ms,
-        overhead.legacy_telemetry_ms,
         overhead.flat_overhead_pct,
         overhead.flat_plain_ms,
         overhead.flat_telemetry_ms,
     );
-    let telemetry_gate = overhead_ok(overhead.legacy_plain_ms, overhead.legacy_telemetry_ms)
-        && overhead_ok(overhead.flat_plain_ms, overhead.flat_telemetry_ms);
+    let telemetry_gate = overhead_ok(overhead.flat_plain_ms, overhead.flat_telemetry_ms);
     assert!(
-        overhead_ok(overhead.legacy_plain_ms, overhead.legacy_telemetry_ms),
-        "legacy-path telemetry overhead exceeds 3%: {:.2}%",
-        overhead.legacy_overhead_pct
-    );
-    assert!(
-        overhead_ok(overhead.flat_plain_ms, overhead.flat_telemetry_ms),
+        telemetry_gate,
         "flat-path telemetry overhead exceeds 3%: {:.2}%",
         overhead.flat_overhead_pct
     );

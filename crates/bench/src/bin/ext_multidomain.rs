@@ -25,7 +25,7 @@ use sim_jvm::Vm;
 use sim_os::{Machine, MachineConfig};
 use viprof::resolve::{ResolveOptions, ViprofResolver};
 use viprof::xen::{domain_breakdown, domain_jit_profile, DomainTable, Hypervisor, XenScheduler};
-use viprof::{ReportSpec, Viprof};
+use viprof::{ReportSpec, ResolutionEngine, Viprof};
 use viprof_bench::{write_artifact, HarnessOpts};
 use viprof_telemetry::impl_to_json;
 use viprof_telemetry::json::Json;
@@ -148,8 +148,9 @@ fn main() {
     let resolver = ViprofResolver::load_with(&machine.kernel, ResolveOptions::default())
         .expect("resolver")
         .0;
-    let dom1_top = domain_jit_profile(&db, &machine.kernel, &resolver, &domains, dom1, HwEvent::Cycles);
-    let dom2_top = domain_jit_profile(&db, &machine.kernel, &resolver, &domains, dom2, HwEvent::Cycles);
+    let engine = ResolutionEngine::build(&resolver);
+    let dom1_top = domain_jit_profile(&db, &machine.kernel, &engine, &domains, dom1, HwEvent::Cycles);
+    let dom2_top = domain_jit_profile(&db, &machine.kernel, &engine, &domains, dom2, HwEvent::Cycles);
     println!("\nTop methods in domU-ps:");
     for (sym, n) in dom1_top.iter().take(4) {
         println!("  {:<70}{:>8}", sym, n);

@@ -1,10 +1,8 @@
 //! The parallel resolution engine: flattened epoch indexes + interned
 //! symbols + sharded multi-threaded aggregation.
 //!
-//! [`crate::resolve::ViprofResolver`] is the *reference*
-//! implementation: per-bucket backward epoch walks and `String`
-//! labels. [`ResolutionEngine`] is the production path built on top of
-//! it:
+//! [`ResolutionEngine`] is the library's only resolver. It is built
+//! from the map sets a [`ViprofResolver`] loaded:
 //!
 //! 1. every pid's epoch chain is collapsed into a
 //!    [`FlatIndex`] (one binary search per
@@ -19,15 +17,17 @@
 //!    commutative sums.
 //!
 //! The engine produces **bit-identical** reports and quality totals
-//! regardless of thread count, and identical to the legacy walk —
-//! enforced by `tests/prop_resolve_flat.rs` and the fault-matrix
-//! suite.
+//! regardless of thread count, and identical to the paper's per-bucket
+//! backward epoch walk (§3.2). That walk lives only as a test oracle,
+//! in the repository's `tests/support/walk.rs`, and is enforced by
+//! `tests/engine_oracle.rs`, `tests/prop_resolve_flat.rs` and the
+//! fault-matrix suite.
 
 use crate::bootmap::BootMap;
 use crate::flatindex::FlatIndex;
 use crate::resolve::{IncarnationSummary, ResolutionQuality, ViprofResolver};
 use crate::session::{ReportSpec, SessionReport};
-use oprofile::report::{bucket_label, finish_report, report_events, Report, ReportOptions};
+use oprofile::report::{bucket_label, finish_report, report_events};
 use oprofile::{SampleBucket, SampleDb, SampleOrigin, SAMPLE_JOURNAL_PATH, TIMELINE_PATH};
 use sim_cpu::{HwEvent, Pid, ProcKey};
 use sim_jvm::bootimage::{BOOT_IMAGE_NAME, RVM_MAP_IMAGE_LABEL};
@@ -36,6 +36,7 @@ use sim_os::{ImageId, Kernel};
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use viprof_telemetry::{
     names, Counter, Gauge, HealthReport, Histogram, LineageTable, SpanStore, Stage, Telemetry,
@@ -252,8 +253,6 @@ pub struct ResolutionEngine {
     /// engine metrics-free (handles never charge simulated cycles
     /// either way).
     telemetry: Option<EngineTelemetry>,
-    /// Deterministic panic injector for the quarantine machinery.
-    poison: Option<ShardPoison>,
 }
 
 impl ResolutionEngine {
@@ -348,24 +347,6 @@ impl ResolutionEngine {
         self.damage = damage;
     }
 
-    /// Install (or clear) the deterministic shard-poison injector.
-    pub fn set_poison(&mut self, poison: Option<ShardPoison>) {
-        self.poison = poison;
-    }
-
-    /// Panic if `bucket` is poisoned in this context — the seam the
-    /// quarantine tests drive. A non-fatal poison only trips inside
-    /// parallel shard workers, leaving the fallback path clean.
-    fn trip_poison(&self, bucket: &SampleBucket, parallel_worker: bool) {
-        if let Some(p) = self.poison {
-            if let SampleOrigin::JitApp { pid, .. } = bucket.origin {
-                if pid == p.pid && (p.fatal || parallel_worker) {
-                    panic!("poisoned resolution shard (pid {})", pid.0);
-                }
-            }
-        }
-    }
-
     /// Mirror every subsequent resolve pass into `registry`'s
     /// `resolve.*` metrics. Handles are resolved once here; the sharded
     /// hot path never locks the registry.
@@ -384,8 +365,7 @@ impl ResolutionEngine {
         (offset < self.boot_ends[pos]).then(|| &self.boot_names[pos])
     }
 
-    /// Classification only — no label allocation. Must stay in
-    /// lockstep with [`ViprofResolver::quality`]'s per-bucket match.
+    /// Classification only — no label allocation.
     pub(crate) fn classify_bucket(&self, bucket: &SampleBucket) -> Class {
         match bucket.origin {
             SampleOrigin::JitApp { pid, gen } => {
@@ -404,8 +384,7 @@ impl ResolutionEngine {
         }
     }
 
-    /// Label one bucket as interned `(image, symbol)` columns —
-    /// content-identical to [`ViprofResolver::label`], without the
+    /// Label one bucket as interned `(image, symbol)` columns, without
     /// per-bucket `String` allocations on the hot (JIT / boot-image)
     /// paths.
     pub fn label(&self, bucket: &SampleBucket, kernel: &Kernel) -> (Arc<str>, Arc<str>) {
@@ -464,19 +443,21 @@ impl ResolutionEngine {
 
     /// Resolve one shard: row aggregation keyed by interned labels,
     /// plus the shard's quality tally. Aggregation only covers buckets
-    /// whose event is a report column (like [`oprofile::report::aggregate`]);
-    /// the tally covers every bucket (like [`ViprofResolver::quality`]).
+    /// whose event is a report column (like [`oprofile::report::aggregate`]),
+    /// so an empty `events` list does no label work; the tally covers
+    /// every bucket.
     fn resolve_shard(
         &self,
         shard: &[(&SampleBucket, u64)],
         kernel: &Kernel,
         events: &[HwEvent],
+        poison: Option<ShardPoison>,
         parallel_worker: bool,
     ) -> (ShardRows, ShardTally) {
         let mut agg: ShardRows = HashMap::new();
         let mut tally = ShardTally::default();
         for &(bucket, count) in shard {
-            self.trip_poison(bucket, parallel_worker);
+            trip_poison(poison, bucket, parallel_worker);
             match self.classify_bucket(bucket) {
                 Class::Resolved => tally.resolved += count,
                 Class::Stale => tally.stale_epoch += count,
@@ -491,20 +472,6 @@ impl ResolutionEngine {
         (agg, tally)
     }
 
-    fn classify_shard(&self, shard: &[(&SampleBucket, u64)], parallel_worker: bool) -> ShardTally {
-        let mut tally = ShardTally::default();
-        for &(bucket, count) in shard {
-            self.trip_poison(bucket, parallel_worker);
-            match self.classify_bucket(bucket) {
-                Class::Resolved => tally.resolved += count,
-                Class::Stale => tally.stale_epoch += count,
-                Class::Unresolved => tally.unresolved += count,
-                Class::Blocked => tally.blocked += count,
-            }
-        }
-        tally
-    }
-
     /// Quarantine tally for a shard whose worker *and* fallback died:
     /// every sample is kept in the accounting, none get report rows.
     fn quarantine_tally(shard: &[(&SampleBucket, u64)]) -> ShardTally {
@@ -517,12 +484,20 @@ impl ResolutionEngine {
     /// Resolve `db` into a full [`SessionReport`] under `spec` — the
     /// builder-spec twin of [`Viprof::make_report`](crate::Viprof::make_report)
     /// for callers that already hold a loaded engine. Honors
-    /// `spec.poison`, shards across `spec.threads`, and fills the
-    /// per-incarnation breakdown; `recovery` is always `None` (replay
-    /// is a load-time concern, not the engine's).
+    /// `spec.poison` for this call only, shards across `spec.threads`,
+    /// and fills the per-incarnation breakdown; `recovery` is always
+    /// `None` (replay is a load-time concern, not the engine's).
     pub fn resolve(&mut self, db: &SampleDb, kernel: &Kernel, spec: &ReportSpec) -> SessionReport {
-        self.poison = spec.poison;
-        let (lines, quality) = self.resolve_rows(db, kernel, &spec.options, spec.threads);
+        let (events, totals) = report_events(db, &spec.options);
+        let (rows, quality) = self.run_shards(db, kernel, &events, spec.threads, spec.poison);
+        // One `String` materialization per distinct row — not per
+        // bucket — to hand off to the shared row shaping:
+        // [`finish_report`], the same code `aggregate` runs.
+        let rows: HashMap<(String, String), Vec<u64>> = rows
+            .into_iter()
+            .map(|((img, sym), counts)| ((img.to_string(), sym.to_string()), counts))
+            .collect();
+        let lines = finish_report(events, totals, rows, &spec.options);
         let incarnations = self.incarnations(db);
         if let Some(t) = &self.telemetry {
             t.registry
@@ -733,9 +708,8 @@ impl ResolutionEngine {
 
     /// Per-incarnation breakdown of `db`'s JIT samples, sorted by
     /// `(pid, gen)`. Classification goes through [`Self::classify_bucket`],
-    /// so the rows partition the JIT share of the quality report
-    /// exactly like [`ViprofResolver::incarnations`] does. Poison never
-    /// trips here — the reference breakdown has no panic seam either.
+    /// so the rows partition the JIT share of the quality report.
+    /// Poison never trips here: the breakdown has no panic seam.
     fn incarnations(&self, db: &SampleDb) -> Vec<IncarnationSummary> {
         let mut rows: BTreeMap<(u32, u32), IncarnationSummary> = BTreeMap::new();
         for (bucket, count) in db.iter() {
@@ -762,56 +736,48 @@ impl ResolutionEngine {
         rows.into_values().collect()
     }
 
-    /// The merged report plus quality accounting in one pass over the
-    /// database, resolved across `threads` shards (`0`/`1` =
-    /// single-threaded). Results are bit-identical for every thread
-    /// count: shard sums are commutative and the final row shaping is
-    /// [`finish_report`], the same code `aggregate` runs.
-    pub(crate) fn resolve_rows(
+    /// Resolve `db` across `threads` hash shards (`0`/`1` =
+    /// single-threaded): report rows for the `events` columns plus the
+    /// quality tally over every bucket. Results are bit-identical for
+    /// every thread count, because shard sums are commutative.
+    fn run_shards(
         &self,
         db: &SampleDb,
         kernel: &Kernel,
-        options: &ReportOptions,
+        events: &[HwEvent],
         threads: usize,
-    ) -> (Report, ResolutionQuality) {
-        let (events, totals) = report_events(db, options);
+        poison: Option<ShardPoison>,
+    ) -> (ShardRows, ResolutionQuality) {
         let shards = self.shard(db, threads);
-        let events_ref: &[HwEvent] = &events;
+        let run = |shard: &[(&SampleBucket, u64)], parallel_worker: bool| {
+            self.resolve_shard(shard, kernel, events, poison, parallel_worker)
+        };
         // A panicking shard must not take the session report with it:
-        // every worker is isolated, and a dead shard is retried once on
-        // the legacy single-threaded walk before its samples fall back
-        // to quarantine accounting.
-        let attempts: Vec<Option<(ShardRows, ShardTally)>> =
-            if shards.len() <= 1 {
-                shards
+        // every worker is isolated, and a dead shard is retried once,
+        // single-threaded, through this same shard code (a non-fatal
+        // poison does not trip there) before its samples fall back to
+        // quarantine accounting.
+        let attempts: Vec<Option<(ShardRows, ShardTally)>> = if shards.len() <= 1 {
+            shards
+                .iter()
+                .map(|s| catch_unwind(AssertUnwindSafe(|| run(s, true))).ok())
+                .collect()
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = shards
                     .iter()
-                    .map(|s| {
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            self.resolve_shard(s, kernel, events_ref, true)
-                        }))
-                        .ok()
-                    })
-                    .collect()
-            } else {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = shards
-                        .iter()
-                        .map(|shard| {
-                            scope.spawn(move || self.resolve_shard(shard, kernel, events_ref, true))
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().ok()).collect()
-                })
-            };
+                    .map(|shard| scope.spawn(move || run(shard, true)))
+                    .collect();
+                handles.into_iter().map(|h| h.join().ok()).collect()
+            })
+        };
         let parts: Vec<(ShardRows, ShardTally)> = attempts
             .into_iter()
             .enumerate()
             .map(|(i, attempt)| match attempt {
                 Some(part) => part,
                 None => {
-                    let retried = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        self.resolve_shard(&shards[i], kernel, events_ref, false)
-                    }));
+                    let retried = catch_unwind(AssertUnwindSafe(|| run(&shards[i], false)));
                     let recovered = retried.is_ok();
                     if let Some(t) = &self.telemetry {
                         let samples: u64 = shards[i].iter().map(|(_, c)| *c).sum();
@@ -833,7 +799,7 @@ impl ResolutionEngine {
         if let Some(t) = &self.telemetry {
             t.add_base(&quality);
         }
-        let mut merged: HashMap<(Arc<str>, Arc<str>), Vec<u64>> = HashMap::new();
+        let mut merged: ShardRows = HashMap::new();
         for (agg, tally) in parts {
             quality.resolved += tally.resolved;
             quality.stale_epoch += tally.stale_epoch;
@@ -859,79 +825,28 @@ impl ResolutionEngine {
         if let (Some(t), Some(before)) = (&self.telemetry, before) {
             t.finish(before, &quality, &shard_sizes);
         }
-        // One `String` materialization per distinct row — not per
-        // bucket — to hand off to the shared row shaping.
-        let rows: HashMap<(String, String), Vec<u64>> = merged
-            .into_iter()
-            .map(|((img, sym), counts)| ((img.to_string(), sym.to_string()), counts))
-            .collect();
-        (finish_report(events, totals, rows, options), quality)
+        (merged, quality)
     }
 
-    /// Quality accounting alone (no label work), sharded the same way.
-    /// Identical to [`ViprofResolver::quality`] on the same load.
+    /// Quality accounting alone: the shard runner with no report
+    /// columns, so no label work and no shard poison.
     pub fn quality(&self, db: &SampleDb, threads: usize) -> ResolutionQuality {
-        let shards = self.shard(db, threads);
-        let attempts: Vec<Option<ShardTally>> = if shards.len() <= 1 {
-            shards
-                .iter()
-                .map(|s| {
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        self.classify_shard(s, true)
-                    }))
-                    .ok()
-                })
-                .collect()
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = shards
-                    .iter()
-                    .map(|shard| scope.spawn(move || self.classify_shard(shard, true)))
-                    .collect();
-                handles.into_iter().map(|h| h.join().ok()).collect()
-            })
-        };
-        let tallies: Vec<ShardTally> = attempts
-            .into_iter()
-            .enumerate()
-            .map(|(i, attempt)| match attempt {
-                Some(tally) => tally,
-                None => {
-                    let retried = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        self.classify_shard(&shards[i], false)
-                    }));
-                    let recovered = retried.is_ok();
-                    if let Some(t) = &self.telemetry {
-                        let samples: u64 = shards[i].iter().map(|(_, c)| *c).sum();
-                        t.note_shard_panic(i as u64, samples, recovered);
-                    }
-                    retried.unwrap_or_else(|_| Self::quarantine_tally(&shards[i]))
-                }
-            })
-            .collect();
-        let before = self.telemetry.as_ref().map(|t| t.quality_counts());
-        let shard_sizes: Vec<u64> = shards
-            .iter()
-            .map(|s| s.iter().map(|(_, c)| *c).sum())
-            .collect();
-        let mut quality = self.base_quality(db);
-        if let Some(t) = &self.telemetry {
-            t.add_base(&quality);
-        }
-        for tally in tallies {
-            quality.resolved += tally.resolved;
-            quality.stale_epoch += tally.stale_epoch;
-            quality.unresolved += tally.unresolved;
-            quality.quarantined += tally.quarantined;
-            quality.cross_incarnation_blocked += tally.blocked;
-            if let Some(t) = &self.telemetry {
-                t.add_tally(&tally);
+        // Labels are only computed for report columns, so the kernel
+        // is never consulted here; an empty one stands in.
+        self.run_shards(db, &Kernel::new(), &[], threads, None).1
+    }
+}
+
+/// Panic if `bucket` is poisoned in this context — the seam the
+/// quarantine tests drive. A non-fatal poison only trips inside
+/// parallel shard workers, leaving the fallback path clean.
+fn trip_poison(poison: Option<ShardPoison>, bucket: &SampleBucket, parallel_worker: bool) {
+    if let Some(p) = poison {
+        if let SampleOrigin::JitApp { pid, .. } = bucket.origin {
+            if pid == p.pid && (p.fatal || parallel_worker) {
+                panic!("poisoned resolution shard (pid {})", pid.0);
             }
         }
-        if let (Some(t), Some(before)) = (&self.telemetry, before) {
-            t.finish(before, &quality, &shard_sizes);
-        }
-        quality
     }
 }
 
@@ -939,8 +854,8 @@ impl ResolutionEngine {
 mod tests {
     use super::*;
     use crate::codemap::{map_path, render_map, CodeMapEntry};
-    use crate::report::viprof_report;
     use crate::resolve::ResolveOptions;
+    use sim_jvm::bootimage::well_known;
     use sim_jvm::BootImage;
 
     fn bucket(origin: SampleOrigin, addr: u64, epoch: u64) -> SampleBucket {
@@ -997,66 +912,6 @@ mod tests {
     }
 
     #[test]
-    fn labels_match_the_reference_resolver_on_every_origin() {
-        let (k, pid) = setup();
-        let (resolver, _) = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap();
-        let engine = ResolutionEngine::build(&resolver);
-        for (b, _) in mixed_db(&k, pid).iter() {
-            let (img, sym) = engine.label(b, &k);
-            assert_eq!(
-                (img.to_string(), sym.to_string()),
-                resolver.label(b, &k),
-                "label diverged on {b:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn quality_matches_the_reference_resolver() {
-        let (k, pid) = setup();
-        let db = mixed_db(&k, pid);
-        let (resolver, _) = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap();
-        let engine = ResolutionEngine::build(&resolver);
-        let want = resolver.quality(&db);
-        assert_eq!(engine.quality(&db, 1), want);
-        assert_eq!(engine.quality(&db, 4), want);
-        assert_eq!(want.accounted(), db.total_samples());
-    }
-
-    #[test]
-    fn sharded_report_is_bit_identical_to_walk_and_thread_count_invariant() {
-        let (k, pid) = setup();
-        let db = mixed_db(&k, pid);
-        let (resolver, _) = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap();
-        let engine = ResolutionEngine::build(&resolver);
-        let options = ReportOptions::default();
-        let legacy = viprof_report(&db, &k, &resolver, &options);
-        let legacy_q = resolver.quality(&db);
-        for threads in [0, 1, 2, 3, 8] {
-            let (report, q) = engine.resolve_rows(&db, &k, &options, threads);
-            assert_eq!(report, legacy, "threads={threads}");
-            assert_eq!(q, legacy_q, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn row_filters_apply_identically() {
-        let (k, pid) = setup();
-        let db = mixed_db(&k, pid);
-        let (resolver, _) = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap();
-        let engine = ResolutionEngine::build(&resolver);
-        let options = ReportOptions {
-            min_primary_percent: 10.0,
-            max_rows: Some(2),
-            ..ReportOptions::default()
-        };
-        let legacy = viprof_report(&db, &k, &resolver, &options);
-        let (report, _) = engine.resolve_rows(&db, &k, &options, 4);
-        assert_eq!(report, legacy);
-        assert!(report.rows.len() <= 2);
-    }
-
-    #[test]
     fn telemetry_counters_match_quality_for_every_thread_count() {
         let (k, pid) = setup();
         let db = mixed_db(&k, pid);
@@ -1065,8 +920,9 @@ mod tests {
             let mut engine = ResolutionEngine::build(&resolver);
             let t = Telemetry::default();
             engine.set_telemetry(&t);
-            let (report, q) = engine.resolve_rows(&db, &k, &ReportOptions::default(), threads);
-            assert!(!report.rows.is_empty());
+            let report = engine.resolve(&db, &k, &ReportSpec::default().threads(threads));
+            let q = report.quality;
+            assert!(!report.lines.rows.is_empty());
             let snap = t.snapshot();
             assert_eq!(snap.counter(names::RESOLVE_SAMPLES_RESOLVED), q.resolved);
             assert_eq!(snap.counter(names::RESOLVE_SAMPLES_STALE_EPOCH), q.stale_epoch);
@@ -1099,17 +955,16 @@ mod tests {
         let (k, pid) = setup();
         let db = mixed_db(&k, pid);
         let (resolver, _) = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap();
-        let clean = ResolutionEngine::build(&resolver);
-        let options = ReportOptions::default();
-        let (clean_report, clean_q) = clean.resolve_rows(&db, &k, &options, 4);
+        let spec = ReportSpec::default().threads(4);
+        let clean = ResolutionEngine::build(&resolver).resolve(&db, &k, &spec);
         let mut poisoned = ResolutionEngine::build(&resolver);
         let t = Telemetry::default();
         poisoned.set_telemetry(&t);
-        poisoned.set_poison(Some(ShardPoison { pid, fatal: false }));
-        let (report, q) = poisoned.resolve_rows(&db, &k, &options, 4);
-        assert_eq!(report, clean_report, "fallback must reproduce the clean report");
-        assert_eq!(q, clean_q);
-        assert_eq!(q.quarantined, 0);
+        let report =
+            poisoned.resolve(&db, &k, &spec.poison(ShardPoison { pid, fatal: false }));
+        assert_eq!(report.lines, clean.lines, "fallback must reproduce the clean report");
+        assert_eq!(report.quality, clean.quality);
+        assert_eq!(report.quality.quarantined, 0);
         let snap = t.snapshot();
         assert!(snap.counter(names::RESOLVE_SHARD_PANICS) >= 1);
         let events = snap.events_of(names::EVENT_RESOLVE_SHARD_QUARANTINE);
@@ -1128,75 +983,106 @@ mod tests {
             let mut engine = ResolutionEngine::build(&resolver);
             let t = Telemetry::default();
             engine.set_telemetry(&t);
-            engine.set_poison(Some(ShardPoison { pid, fatal: true }));
-            let (_report, q) = engine.resolve_rows(&db, &k, &ReportOptions::default(), threads);
+            let spec = ReportSpec::default()
+                .threads(threads)
+                .poison(ShardPoison { pid, fatal: true });
+            let q = engine.resolve(&db, &k, &spec).quality;
             assert!(q.quarantined > 0, "threads={threads}");
             assert_eq!(
                 q.accounted(),
                 db.total_samples(),
                 "quarantine keeps the accounting complete (threads={threads})"
             );
-            let quality_only = engine.quality(&db, threads);
-            assert_eq!(quality_only, q, "both paths quarantine identically");
+            // One panic count and one event per dead shard (the
+            // fallback's second panic is reported by that same event).
             let snap = t.snapshot();
-            assert!(snap.counter(names::RESOLVE_SHARD_PANICS) >= 2, "worker and fallback");
-            assert!(snap
-                .events_of(names::EVENT_RESOLVE_SHARD_QUARANTINE)
+            let panics = snap.counter(names::RESOLVE_SHARD_PANICS);
+            assert!(panics >= 1, "threads={threads}");
+            let events = snap.events_of(names::EVENT_RESOLVE_SHARD_QUARANTINE);
+            assert_eq!(events.len() as u64, panics, "threads={threads}");
+            assert!(events
                 .iter()
-                .any(|e| e.fields.iter().any(|(k, v)| k == "recovered" && *v == 0)));
+                .all(|e| e.fields.iter().any(|(k, v)| k == "recovered" && *v == 0)));
         }
     }
 
     #[test]
-    fn blocked_samples_agree_with_the_reference_and_stay_accounted() {
+    fn poison_applies_to_one_call_only() {
+        // A poisoned resolve must not leave the poison behind for the
+        // engine's next quality or resolve call.
         let (k, pid) = setup();
         let db = mixed_db(&k, pid);
         let (resolver, _) = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap();
-        let engine = ResolutionEngine::build(&resolver);
-        let want = resolver.quality(&db);
-        assert_eq!(want.cross_incarnation_blocked, 2);
-        for threads in [1, 4] {
-            let q = engine.quality(&db, threads);
-            assert_eq!(q, want, "threads={threads}");
-            assert_eq!(q.accounted(), db.total_samples());
-        }
-        // The blocked bucket's label never borrows the other
-        // incarnation's symbols.
-        let blocked = bucket(SampleOrigin::JitApp { pid, gen: 7 }, 0x6400_0080, 2);
-        let (img, sym) = engine.label(&blocked, &k);
-        assert_eq!((&*img, &*sym), ("JIT.App", "(unresolved jit)"));
+        let mut engine = ResolutionEngine::build(&resolver);
+        let clean = engine.quality(&db, 1);
+        assert_eq!(clean.quarantined, 0);
+        let poisoned = ReportSpec::default().poison(ShardPoison { pid, fatal: true });
+        assert!(engine.resolve(&db, &k, &poisoned).quality.quarantined > 0);
+        assert_eq!(engine.quality(&db, 1), clean, "quality after a poisoned resolve");
+        assert_eq!(engine.resolve(&db, &k, &ReportSpec::default()).quality, clean);
     }
 
     #[test]
-    fn evictions_flow_from_db_into_quality() {
-        let (k, pid) = setup();
-        let mut db = mixed_db(&k, pid);
-        db.evicted = 9;
-        let (resolver, _) = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap();
-        let engine = ResolutionEngine::build(&resolver);
-        let q = engine.quality(&db, 2);
-        assert_eq!(q.evicted, 9);
-        assert_eq!(q, resolver.quality(&db), "legacy walk agrees");
-        // Evicted samples sit outside accounted(): they never reached
-        // the database, like drops.
-        assert_eq!(q.accounted(), db.total_samples());
-    }
-
-    #[test]
-    fn empty_db_reports_empty_with_damage_counters_intact() {
-        let (mut k, pid) = setup();
-        // One garbled line so the damage counters are non-zero.
-        k.vfs.write(
-            map_path(pid, 1),
-            b"!! garbage\n0000000065100000 00000040 base app.Ok.fine\n".to_vec(),
+    fn figure1_shape_rvm_jit_and_libc_rows_coexist() {
+        let mut k = Kernel::new();
+        let pid = k.spawn("jikesrvm");
+        let mut boot = BootImage::jikes_standard();
+        boot.install(&mut k, pid, 0x0900_0000);
+        let libc = k.images.insert(
+            sim_os::Image::new("libc-2.3.2.so", 0x4000)
+                .with_symbols([sim_os::Symbol::new("memset", 0x1000, 0x400)]),
         );
+        k.vfs.write(
+            map_path(pid, 0),
+            render_map(&[CodeMapEntry {
+                addr: 0x6400_0040,
+                size: 0x100,
+                level: "O2".into(),
+                signature: "dacapo.ps.Scanner.parseLine".into(),
+            }])
+            .into_bytes(),
+        );
+
+        let boot_id = k.images.find_by_name(BOOT_IMAGE_NAME).unwrap();
+        let mut db = SampleDb::new();
+        let mut add = |origin, addr, event, n| {
+            db.add(
+                SampleBucket {
+                    origin,
+                    event,
+                    addr,
+                    epoch: 0,
+                },
+                n,
+            )
+        };
+        // VM-internal time (interpreter method at offset 0).
+        add(SampleOrigin::Image(boot_id), 0x10, HwEvent::Cycles, 30);
+        // JIT'd app method.
+        add(SampleOrigin::JitApp { pid, gen: 0 }, 0x6400_0080, HwEvent::Cycles, 50);
+        add(SampleOrigin::JitApp { pid, gen: 0 }, 0x6400_0080, HwEvent::L2Miss, 5);
+        // Native memset with heavy misses (the paper's top Dmiss row).
+        add(SampleOrigin::Image(libc), 0x1100, HwEvent::Cycles, 20);
+        add(SampleOrigin::Image(libc), 0x1100, HwEvent::L2Miss, 15);
+
         let (resolver, _) = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap();
-        let engine = ResolutionEngine::build(&resolver);
-        let db = SampleDb::new();
-        let (report, q) = engine.resolve_rows(&db, &k, &ReportOptions::default(), 4);
-        assert!(report.rows.is_empty());
-        assert_eq!(q, resolver.quality(&db));
-        assert_eq!(q.quarantined_lines, 1);
+        let r = ResolutionEngine::build(&resolver)
+            .resolve(&db, &k, &ReportSpec::default())
+            .lines;
+
+        let jit = r.find("JIT.App", "dacapo.ps.Scanner.parseLine").unwrap();
+        assert_eq!(jit.counts, vec![50, 5]);
+        let vm = r.find("RVM.map", well_known::INTERPRET).unwrap();
+        assert_eq!(vm.counts, vec![30, 0]);
+        let memset = r.find("libc-2.3.2.so", "memset").unwrap();
+        assert!((memset.percents[1] - 75.0).abs() < 1e-9, "Dmiss-dominant");
+        // Figure-1 text shape.
+        let text = r.render_text();
+        assert!(text.contains("Time %"));
+        assert!(text.contains("Dmiss %"));
+        assert!(text.contains("RVM.map"));
+        assert!(text.contains("JIT.App"));
+        assert!(text.contains("memset"));
     }
 
     #[test]

@@ -26,8 +26,9 @@
 //! seen there. Effective per-epoch coverage of an entry is therefore
 //! `[addr, min(addr + size, next entry's addr))`, and for duplicate
 //! start addresses only the last entry in sort order (stable, so
-//! insertion order) counts. Equivalence against the legacy walk is
-//! property-tested in `tests/prop_resolve_flat.rs`.
+//! insertion order) counts. Equivalence against the epoch walk
+//! (`CodeMapSet::resolve`/`resolve_salvage`) is property-tested in
+//! `tests/prop_resolve_flat.rs`.
 
 use crate::codemap::{CodeMapSet, EpochMap};
 use sim_cpu::Addr;

@@ -339,7 +339,7 @@ impl LiveEngine {
     }
 
     /// Resolution damage mirroring `ResolutionEngine::build`'s
-    /// tally over a full `ViprofResolver::load`: per-key counts are
+    /// tally over a full `ViprofResolver::load_with`: per-key counts are
     /// summed only for incarnations with at least one usable map;
     /// a directory with files but no usable map contributes exactly
     /// one failed pid. (`dropped`/`evicted` come from the database at

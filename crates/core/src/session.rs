@@ -147,7 +147,8 @@ pub struct ReportSpec {
     pub threads: usize,
     /// Deterministic shard-poison injection (fault-matrix tests): the
     /// named pid's buckets panic mid-resolution, exercising the
-    /// engine's catch-unwind fallback and quarantine accounting.
+    /// engine's catch-unwind fallback and quarantine accounting. It
+    /// applies to the one resolve this spec is passed to.
     pub poison: Option<crate::engine::ShardPoison>,
     /// Build the causal lineage table and resolve-side trace (on by
     /// default; the bench overhead gate turns it off to measure the
@@ -403,8 +404,7 @@ impl Viprof {
     ) -> Result<SessionReport, ViprofError> {
         // Each pass gets a fresh registry: report telemetry describes
         // *this* resolve, and stays byte-identical across same-seed
-        // runs. Only the engine is attached — the reference resolver's
-        // mirror would double count the same registry.
+        // runs.
         let telemetry = Telemetry::new();
         let (resolver, mut rec) =
             ViprofResolver::load_with(kernel, ResolveOptions { recover: spec.recover })?;

@@ -12,7 +12,7 @@
 //! domain — on top of which the normal VIProf resolution still applies
 //! inside each guest, giving method-level attribution per stack.
 
-use crate::resolve::ViprofResolver;
+use crate::engine::ResolutionEngine;
 use oprofile::{SampleBucket, SampleDb, SampleOrigin};
 use sim_cpu::{Addr, BlockExec, CpuMode, HwEvent, MemActivity, Pid};
 use sim_os::loader::BIN_HINT;
@@ -215,16 +215,16 @@ fn bucket_pid(bucket: &SampleBucket) -> Option<Pid> {
 
 /// Per-domain *method-level* profile: the VIProf resolution applied to
 /// one domain's JIT samples (the "vertically integrated, per stack"
-/// view of §5).
+/// view of §5), labelled through `engine`.
 pub fn domain_jit_profile(
     db: &SampleDb,
     kernel: &Kernel,
-    resolver: &ViprofResolver,
+    engine: &ResolutionEngine,
     table: &DomainTable,
     domain: DomainId,
     event: HwEvent,
 ) -> Vec<(String, u64)> {
-    let mut counts: std::collections::HashMap<String, u64> = Default::default();
+    let mut counts: std::collections::HashMap<std::sync::Arc<str>, u64> = Default::default();
     for (bucket, count) in db.iter() {
         if bucket.event != event {
             continue;
@@ -235,10 +235,13 @@ pub fn domain_jit_profile(
         if table.domain_of(pid) != domain {
             continue;
         }
-        let (_, symbol) = resolver.label(bucket, kernel);
+        let (_, symbol) = engine.label(bucket, kernel);
         *counts.entry(symbol).or_insert(0) += count;
     }
-    let mut rows: Vec<(String, u64)> = counts.into_iter().collect();
+    let mut rows: Vec<(String, u64)> = counts
+        .into_iter()
+        .map(|(symbol, count)| (symbol.to_string(), count))
+        .collect();
     rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     rows
 }
@@ -289,6 +292,56 @@ mod tests {
         assert_eq!(rows[1].domain, "guest-b");
         assert_eq!(rows[2].domain, "Domain-0");
         assert_eq!(rows[2].samples, 10);
+    }
+
+    #[test]
+    fn jit_profile_keeps_each_domain_to_its_own_methods() {
+        use crate::codemap::{map_path, render_map, CodeMapEntry};
+        use crate::resolve::{ResolveOptions, ViprofResolver};
+        let mut k = Kernel::new();
+        let mut t = DomainTable::new();
+        let mut vms = Vec::new();
+        for (name, sig) in [("guest-a", "a.Main.run"), ("guest-b", "b.Main.run")] {
+            let pid = k.spawn(name);
+            let dom = t.register(name);
+            t.assign(pid, dom);
+            k.vfs.write(
+                map_path(pid, 0),
+                render_map(&[CodeMapEntry {
+                    addr: 0x100,
+                    size: 0x100,
+                    level: "O1".into(),
+                    signature: sig.into(),
+                }])
+                .into_bytes(),
+            );
+            vms.push((pid, dom));
+        }
+        let ((pid_a, dom_a), (pid_b, dom_b)) = (vms[0], vms[1]);
+        let mut db = SampleDb::new();
+        db.add(bucket(pid_a.0, 0x180), 40);
+        db.add(bucket(pid_a.0, 0x900), 3); // outside every map
+        db.add(bucket(pid_b.0, 0x140), 25);
+        // Another event: filtered out of a Cycles profile.
+        db.add(
+            SampleBucket {
+                event: HwEvent::L2Miss,
+                ..bucket(pid_a.0, 0x180)
+            },
+            99,
+        );
+        let (resolver, _) = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap();
+        let engine = ResolutionEngine::build(&resolver);
+        let profile = |dom| domain_jit_profile(&db, &k, &engine, &t, dom, HwEvent::Cycles);
+        assert_eq!(
+            profile(dom_a),
+            vec![
+                ("a.Main.run".to_string(), 40),
+                ("(unresolved jit)".to_string(), 3)
+            ]
+        );
+        assert_eq!(profile(dom_b), vec![("b.Main.run".to_string(), 25)]);
+        assert!(profile(DomainId(0)).is_empty());
     }
 
     #[test]

@@ -46,8 +46,9 @@ if [[ "${1:-}" != "--fast" ]]; then
     env RUSTFLAGS="${RUSTFLAGS:-} -D deprecated" cargo check --workspace --all-targets --quiet
 
     # Resolution-engine bench, smoke-sized: asserts the flattened
-    # sharded path is bit-identical to the legacy walk, gates the
-    # telemetry overhead under 3%, and writes results/BENCH_resolve.json.
+    # sharded engine is bit-identical to the reference walk (the test
+    # oracle in tests/support/walk.rs), gates the engine's telemetry
+    # and trace overhead under 3%, and writes results/BENCH_resolve.json.
     echo "==> bench_resolve --smoke"
     cargo run --release -p viprof-bench --bin bench_resolve -- --smoke
 

@@ -8,14 +8,18 @@
 //! This file compiles with `-D deprecated` in `scripts/verify.sh`: it
 //! is the proof that the supported surface needs no removed v0.2 shim.
 
+#[path = "support/walk.rs"]
+mod walk;
+
 use viprof_repro::oprofile::{OpConfig, ReportOptions, SampleDb, SupervisorConfig};
 use viprof_repro::sim_os::{Machine, MachineConfig};
 use viprof_repro::viprof::resolve::ResolveOptions;
 use viprof_repro::viprof::{
-    viprof_report, FaultPlan, LiveSpec, ReportSpec, ResolutionEngine, Viprof, ViprofResolver,
+    FaultPlan, LiveSpec, ReportSpec, ResolutionEngine, Viprof, ViprofResolver,
 };
 use viprof_repro::workloads::runner::execute_plan;
 use viprof_repro::workloads::{calibrate, find_benchmark, programs, BuiltWorkload, WorkPlan};
+use walk::Walk;
 
 const SEED: u64 = 9;
 
@@ -116,9 +120,9 @@ fn make_report_equals_engine_resolve() {
     let (resolver, rec) = ViprofResolver::load_with(kernel, ResolveOptions::default()).unwrap();
     assert_eq!(rec, Default::default(), "plain load reports no recovery");
     assert_eq!(
-        viprof_report(&db, kernel, &resolver, &options),
+        Walk::new(&resolver, kernel).report(&db, &options),
         unified.lines,
-        "legacy walk agrees with the unified pass"
+        "the reference walk agrees with the unified pass"
     );
     for threads in [1usize, 4] {
         let mut engine = ResolutionEngine::build(&resolver);
@@ -165,8 +169,9 @@ fn recovered_spec_equals_recovered_load() {
     let mut aligned = recovery;
     aligned.samples_salvaged = unified_rec.samples_salvaged;
     assert_eq!(aligned, unified_rec);
-    assert_eq!(viprof_report(&db, kernel, &resolver, &options), unified.lines);
-    assert_eq!(resolver.quality(&db), unified.quality);
+    let walk = Walk::new(&resolver, kernel);
+    assert_eq!(walk.report(&db, &options), unified.lines);
+    assert_eq!(walk.quality(&db), unified.quality);
     // And the engine built from the recovered resolver agrees.
     assert_eq!(
         ResolutionEngine::build(&resolver).quality(&db, 4),

@@ -14,15 +14,19 @@
 //! samples than the degraded baseline, and strictly more where the
 //! journal holds what the disk lost.
 
+#[path = "support/walk.rs"]
+mod walk;
+
 use viprof_repro::oprofile::session::TIMELINE_PATH;
 use viprof_repro::oprofile::{GovernorConfig, OpConfig, ReportOptions, SampleOrigin};
 use viprof_repro::telemetry::{names, HealthReport, Timeline};
 use viprof_repro::viprof::codemap::JIT_MAP_DIR;
 use viprof_repro::viprof::resolve::ResolveOptions;
 use viprof_repro::viprof::{
-    recover_sample_db, viprof_report, FaultPlan, RecoveryReport, ReportSpec, ResolutionEngine,
+    recover_sample_db, FaultPlan, RecoveryReport, ReportSpec, ResolutionEngine,
     ResolutionQuality, ShardPoison, Viprof, ViprofResolver,
 };
+use walk::Walk;
 use viprof_repro::workloads::{
     calibrate, find_benchmark, programs, run_benchmark, BuiltWorkload, ProfilerKind, RunOutcome,
     WorkPlan,
@@ -53,11 +57,12 @@ fn quality_of(out: &RunOutcome) -> ResolutionQuality {
     let db = out.db.as_ref().expect("profiled run");
     let kernel = &out.machine.kernel;
     let options = ReportOptions::default();
-    // Reference: the legacy per-bucket epoch walk.
+    // Reference: the per-bucket epoch walk.
     let (resolver, _) = ViprofResolver::load_with(kernel, ResolveOptions::default())
         .expect("degraded sessions still report");
-    let walk_report = viprof_report(db, kernel, &resolver, &options);
-    let walk_q = resolver.quality(db);
+    let walk = Walk::new(&resolver, kernel);
+    let walk_report = walk.report(db, &options);
+    let walk_q = walk.quality(db);
     // Production: flattened index, single-threaded and sharded.
     let single = Viprof::make_report(db, kernel, &ReportSpec::default())
         .expect("degraded sessions still report");
@@ -110,8 +115,9 @@ fn recovery_of(out: &RunOutcome) -> (ResolutionQuality, RecoveryReport) {
     let options = ReportOptions::default();
     let (resolver, _) = ViprofResolver::load_with(kernel, ResolveOptions::recovered())
         .expect("recovery still reports");
-    let walk_report = viprof_report(db, kernel, &resolver, &options);
-    let walk_q = resolver.quality(db);
+    let walk = Walk::new(&resolver, kernel);
+    let walk_report = walk.report(db, &options);
+    let walk_q = walk.quality(db);
     let single =
         Viprof::make_report(db, kernel, &ReportSpec::recovered()).expect("recovery still reports");
     let sharded = Viprof::make_report(db, kernel, &ReportSpec::recovered().threads(SHARDS))

@@ -8,9 +8,9 @@
 //!
 //! 2. Cross-incarnation isolation: a sample stamped `(pid, gen)` only
 //!    ever resolves against maps written by that exact incarnation.
-//!    Across 256 random multi-incarnation layouts the resolver, the
-//!    sharded engine at every thread count, and the per-incarnation
-//!    breakdown all agree with a per-key oracle, samples of a map-less
+//!    Across 256 random multi-incarnation layouts the engine's labels,
+//!    its sharded quality and its per-incarnation breakdown at every
+//!    thread count all agree with a per-key oracle, samples of a map-less
 //!    generation are blocked (never borrowed from a sibling), and
 //!    `quality.accounted()` still covers 100 % of the database.
 
@@ -20,7 +20,7 @@ use viprof_repro::sim_os::rng::{check, SplitMix64};
 use viprof_repro::sim_os::Kernel;
 use viprof_repro::viprof::codemap::{map_path, render_map, CodeMapEntry};
 use viprof_repro::viprof::resolve::ResolveOptions;
-use viprof_repro::viprof::{ResolutionEngine, ViprofResolver};
+use viprof_repro::viprof::{ReportSpec, ResolutionEngine, ViprofResolver};
 
 // ---------- LIFO pid allocator: determinism + stack oracle ----------
 
@@ -160,6 +160,7 @@ fn samples_only_resolve_against_their_own_incarnation() {
         }
 
         let (resolver, _) = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap();
+        let mut engine = ResolutionEngine::build(&resolver);
         let pids_with_maps: std::collections::BTreeSet<u32> = incarnations
             .iter()
             .filter(|(_, e)| e.is_some())
@@ -172,57 +173,87 @@ fn samples_only_resolve_against_their_own_incarnation() {
         let mut want_stale = 0u64;
         let mut want_unresolved = 0u64;
         let mut want_blocked = 0u64;
+        // Per-incarnation oracle rows: (pid, gen) → [samples, resolved,
+        // stale, unresolved, blocked].
+        let mut want_rows: std::collections::BTreeMap<(u32, u32), [u64; 5]> = Default::default();
         for (bucket, count) in db.iter() {
             let SampleOrigin::JitApp { pid, gen } = bucket.origin else {
                 unreachable!()
             };
+            let row = want_rows.entry((pid.0, gen)).or_default();
+            row[0] += count;
             let own = resolver.codemaps(ProcKey::new(pid, gen));
-            let (_, sym) = resolver.label(bucket, &k);
+            let (_, sym) = engine.label(bucket, &k);
             match own {
                 Some(set) => match set.resolve_salvage(bucket.addr, bucket.epoch) {
                     Some((e, stale)) => {
-                        assert_eq!(&sym, &e.signature, "label came from own maps");
+                        assert_eq!(&*sym, e.signature.as_str(), "label came from own maps");
                         if stale {
-                            want_stale += count
+                            want_stale += count;
+                            row[2] += count;
                         } else {
-                            want_resolved += count
+                            want_resolved += count;
+                            row[1] += count;
                         }
                     }
                     None => {
-                        assert_eq!(sym.as_str(), "(unresolved jit)");
+                        assert_eq!(&*sym, "(unresolved jit)");
                         want_unresolved += count;
+                        row[3] += count;
                     }
                 },
                 None => {
                     // THE invariant: no maps for this generation means
                     // no symbol, even when a sibling incarnation of the
                     // pid has perfectly good maps covering this addr.
-                    assert_eq!(sym.as_str(), "(unresolved jit)");
+                    assert_eq!(&*sym, "(unresolved jit)");
                     if pids_with_maps.contains(&pid.0) {
                         want_blocked += count;
+                        row[4] += count;
                     } else {
                         want_unresolved += count;
+                        row[3] += count;
                     }
                 }
             }
         }
 
-        // Whole-run quality matches the oracle and accounts for 100 %.
-        let q = resolver.quality(&db);
+        // Whole-run quality matches the oracle at every thread count
+        // and accounts for 100 %.
+        let q = engine.quality(&db, 1);
         assert_eq!(q.resolved, want_resolved);
         assert_eq!(q.stale_epoch, want_stale);
         assert_eq!(q.unresolved, want_unresolved);
         assert_eq!(q.cross_incarnation_blocked, want_blocked);
         assert_eq!(q.accounted(), db.total_samples());
+        assert_eq!(engine.quality(&db, 4), q, "threads=4");
 
-        // The sharded engine agrees at every thread count.
-        let engine = ResolutionEngine::build(&resolver);
-        for threads in [1usize, 4] {
-            assert_eq!(engine.quality(&db, threads), q, "threads={}", threads);
-        }
-
-        // The per-incarnation breakdown partitions the same totals.
-        let rows = resolver.incarnations(&db);
+        // The per-incarnation breakdown matches the oracle row for row
+        // at every thread count, and partitions the same totals.
+        let rows = engine
+            .resolve(&db, &k, &ReportSpec::default().threads(1))
+            .incarnations;
+        let got: std::collections::BTreeMap<(u32, u32), [u64; 5]> = rows
+            .iter()
+            .map(|r| {
+                let counts = [
+                    r.samples,
+                    r.resolved,
+                    r.stale_epoch,
+                    r.unresolved,
+                    r.blocked,
+                ];
+                ((r.pid, r.gen), counts)
+            })
+            .collect();
+        assert_eq!(got, want_rows);
+        assert_eq!(
+            engine
+                .resolve(&db, &k, &ReportSpec::default().threads(4))
+                .incarnations,
+            rows,
+            "threads=4"
+        );
         for w in rows.windows(2) {
             assert!((w[0].pid, w[0].gen) < (w[1].pid, w[1].gen), "sorted rows");
         }

@@ -4,8 +4,11 @@
 //! epochs, sparse chains — the flattened index must reproduce the
 //! legacy backward walk and forward salvage **exactly**, including the
 //! stale-epoch classification; and the engine must produce the same
-//! labels, quality and report as the reference resolver for every
-//! shard count.
+//! labels, quality and report as the reference walk
+//! (`tests/support/walk.rs`) for every shard count.
+
+#[path = "support/walk.rs"]
+mod walk;
 
 use viprof_repro::oprofile::{SampleBucket, SampleDb, SampleOrigin};
 use viprof_repro::sim_cpu::HwEvent;
@@ -13,9 +16,8 @@ use viprof_repro::sim_os::rng::{check, SplitMix64};
 use viprof_repro::sim_os::Kernel;
 use viprof_repro::viprof::codemap::{map_path, render_map, CodeMapEntry, CodeMapSet, EpochMap};
 use viprof_repro::viprof::resolve::ResolveOptions;
-use viprof_repro::viprof::{
-    viprof_report, FlatIndex, ReportSpec, ResolutionEngine, ViprofResolver,
-};
+use viprof_repro::viprof::{FlatIndex, ReportSpec, ResolutionEngine, ViprofResolver};
+use walk::Walk;
 
 const SIGS: [&str; 5] = [
     "app.A.run",
@@ -119,21 +121,22 @@ fn engine_matches_the_reference_resolver_on_random_sessions() {
         db.dropped = dropped;
 
         let (resolver, _) = ViprofResolver::load_with(&k, ResolveOptions::default()).unwrap();
+        let walk = Walk::new(&resolver, &k);
         let mut engine = ResolutionEngine::build(&resolver);
         // Per-bucket label parity.
         for (bucket, _) in db.iter() {
             let (img, sym) = engine.label(bucket, &k);
             assert_eq!(
                 (img.to_string(), sym.to_string()),
-                resolver.label(bucket, &k),
+                walk.label(bucket),
                 "label diverged on {:?}",
                 bucket
             );
         }
         // Whole-session parity, across shard counts.
         let options = Default::default();
-        let walk_report = viprof_report(&db, &k, &resolver, &options);
-        let walk_q = resolver.quality(&db);
+        let walk_report = walk.report(&db, &options);
+        let walk_q = walk.quality(&db);
         assert_eq!(walk_q.accounted(), db.total_samples());
         for threads in [1usize, 3, 7] {
             let spec = ReportSpec::default().threads(threads);
