@@ -62,6 +62,7 @@ pub(super) fn run(cli: &Cli) {
             ));
             continue;
         };
+        live.db().merge(&batch);
         live.on_batch(&kernel, Some(rec.seq), &batch, ctx);
         replayed += 1;
         if interval > 0 && replayed.is_multiple_of(interval) {

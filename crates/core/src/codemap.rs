@@ -39,8 +39,13 @@ impl CodeMapEntry {
 /// against) its predecessor's chain. A bare `Pid` coerces to
 /// generation 0.
 pub fn map_path(key: impl Into<ProcKey>, epoch: u64) -> String {
-    let key = key.into();
-    format!("{JIT_MAP_DIR}/{}/{}/map.{epoch:010}", key.pid.0, key.gen)
+    format!("{}{epoch:010}", map_prefix(key.into()))
+}
+
+/// Common prefix of every map-file path of one incarnation; the epoch
+/// suffix follows it.
+pub(crate) fn map_prefix(key: ProcKey) -> String {
+    format!("{JIT_MAP_DIR}/{}/{}/map.", key.pid.0, key.gen)
 }
 
 /// Path of the agent's code-map write-ahead journal for one
@@ -167,13 +172,29 @@ impl CodeMapSet {
     /// the incarnation but *none* could be used at all.
     pub fn load(vfs: &Vfs, key: impl Into<ProcKey>) -> Result<CodeMapSet, ViprofError> {
         let key = key.into();
-        let pid = key.pid;
-        let prefix = format!("{JIT_MAP_DIR}/{}/{}/map.", key.pid.0, key.gen);
+        let prefix = map_prefix(key);
+        let paths = vfs.list(&prefix);
+        let set = CodeMapSet::read_files(vfs, &prefix, paths.iter().copied());
+        if !paths.is_empty() && set.is_empty() {
+            return Err(ViprofError::NoUsableMaps { pid: key.pid });
+        }
+        Ok(set)
+    }
+
+    /// Read the map files at `paths` (each under `prefix`, as listed
+    /// from the VFS) into one set, tallying what [`CodeMapSet::load`]
+    /// tallies: a file whose epoch suffix does not parse, that does not
+    /// read back, or that is not UTF-8 is skipped and counted; bad
+    /// lines inside a usable file are quarantined and counted. The live
+    /// engine reads newly appeared files of a chain through this too.
+    pub(crate) fn read_files<'a>(
+        vfs: &Vfs,
+        prefix: &str,
+        paths: impl IntoIterator<Item = &'a str>,
+    ) -> CodeMapSet {
         let mut maps = Vec::new();
         let mut quarantined = 0;
         let mut skipped = 0;
-        let paths = vfs.list(&prefix);
-        let total_files = paths.len();
         for path in paths {
             let Ok(epoch) = path[prefix.len()..].parse::<u64>() else {
                 skipped += 1;
@@ -193,13 +214,10 @@ impl CodeMapSet {
             quarantined += parsed.quarantined;
             maps.push(EpochMap::new(epoch, parsed.entries));
         }
-        if total_files > 0 && maps.is_empty() {
-            return Err(ViprofError::NoUsableMaps { pid });
-        }
         let mut set = CodeMapSet::new(maps);
         set.quarantined_lines = quarantined;
         set.skipped_files = skipped;
-        Ok(set)
+        set
     }
 
     pub fn maps(&self) -> &[EpochMap] {

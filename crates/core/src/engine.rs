@@ -554,11 +554,10 @@ impl ResolutionEngine {
     /// thread count, and batch vs sealed-live agree exactly.
     ///
     /// Reconciliation is by construction: dropped/evicted samples are
-    /// attributed per traced journal batch (deduplicated by sequence
-    /// number) only when the journaled sums do not exceed the
-    /// authoritative quality counts; any remainder — or, on
-    /// disagreement, the whole count — lands on the ingest span as an
-    /// `untraced` row. Per bucket, the lineage total therefore always
+    /// attributed per traced journal batch only when the journaled
+    /// sums do not exceed the authoritative quality counts; any
+    /// remainder — or, on disagreement, the whole count — lands on the
+    /// ingest span as an `untraced` row. Per bucket, the lineage total therefore always
     /// equals the quality count exactly.
     fn lineage_and_trace(
         kernel: &Kernel,
@@ -574,10 +573,8 @@ impl ResolutionEngine {
         let mut lineage = LineageTable::default();
 
         // Traced journal batches: `(seq, runtime span ctx, dropped,
-        // evicted)`, deduplicated by sequence number (a supervisor
-        // replay appends the same seq twice).
+        // evicted)`.
         let mut batches: Vec<(u64, TraceCtx, u64, u64)> = Vec::new();
-        let mut seen: HashSet<u64> = HashSet::new();
         if let Some(scan) = journal::scan(&kernel.vfs, SAMPLE_JOURNAL_PATH) {
             for rec in &scan.records {
                 if rec.kind != KIND_SAMPLE_BATCH_TRACED {
@@ -586,9 +583,6 @@ impl ResolutionEngine {
                 let Some((ctx, body)) = split_traced_payload(&rec.payload) else {
                     continue;
                 };
-                if !seen.insert(rec.seq) {
-                    continue;
-                }
                 if let Ok(batch) = SampleDb::from_bytes(body) {
                     batches.push((rec.seq, ctx, batch.dropped, batch.evicted));
                 }

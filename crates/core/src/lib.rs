@@ -60,7 +60,7 @@ pub use engine::{ResolutionEngine, ShardPoison};
 pub use error::ViprofError;
 pub use faults::{ChurnSchedule, FaultPlan, FaultReport};
 pub use flatindex::FlatIndex;
-pub use live::{LiveEngine, LiveSink, LiveSpec};
+pub use live::{LiveEngine, LiveSpec};
 pub use recover::{recover_codemaps, recover_sample_db, PidRecovery, RecoveredDb, RecoveryReport};
 pub use registry::{JitRegistry, RegisterOutcome, SharedRegistry};
 pub use resolve::{IncarnationSummary, ResolutionQuality, ResolveOptions, ViprofResolver};

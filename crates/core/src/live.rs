@@ -3,12 +3,12 @@
 //! The offline pipeline waits for `opcontrol --stop` before it builds
 //! flat indexes and resolves the sample database. This module keeps a
 //! resolution engine **current while the session runs**: the daemon
-//! feeds every drained batch to a [`LiveEngine`] through the
-//! [`DrainSink`] seam, and the engine
+//! merges every drained batch into its sample database and then hands
+//! the same batch to a [`LiveEngine`] through the [`DrainSink`] seam,
+//! and the engine
 //!
-//! 1. merges the batch into a shadow [`SampleDb`] (the same `merge`
-//!    the daemon applies to its own database, so the shadow converges
-//!    to the authoritative one bucket-for-bucket);
+//! 1. counts the batch's samples per incarnation (the freeze/drop rule
+//!    in step 3 needs them);
 //! 2. rescans each incarnation's code-map directory and **extends**
 //!    its [`FlatIndex`] by the newly appeared epoch maps only —
 //!    [`FlatIndex::extend`] re-sweeps just the address window each new
@@ -18,39 +18,42 @@
 //!    indexes are immutable from then on — and indexes that never
 //!    received a sample are dropped outright.
 //!
-//! [`LiveEngine::snapshot`] then delegates to
-//! [`ResolutionEngine::resolve`] against the shadow database:
-//! O(aggregate size) — proportional to the number of distinct buckets
-//! and report rows, *independent of epoch depth and of how many
-//! samples arrived* — and structurally bit-identical to the batch
+//! The engine holds no sample database of its own in a session: it
+//! resolves the daemon's (`Oprofile::db`, shared by handle).
+//! [`LiveEngine::snapshot`] delegates to [`ResolutionEngine::resolve`]
+//! over it: O(aggregate size) — proportional to the number of distinct
+//! buckets and report rows, *independent of epoch depth and of how
+//! many samples arrived* — and structurally bit-identical to the batch
 //! report because it runs the very same resolve code over the very
-//! same inputs.
+//! same inputs. [`LiveEngine::seal`] does a final rescan, after which
+//! the snapshot equals the offline report exactly
+//! (`tests/fault_matrix.rs` checks the three-way identity under the
+//! full fault matrix). A standalone engine (`viprof top`, benches)
+//! owns a fresh database instead; its caller merges each batch into
+//! [`LiveEngine::db`] and then calls [`LiveEngine::on_batch`], the
+//! order the daemon uses.
 //!
-//! Batches are deduplicated by journal sequence number, so a
-//! supervisor-restarted daemon replaying its write-ahead log cannot
-//! double-count; [`LiveEngine::seal`] replays any journal records the
-//! sink never delivered and does a final rescan, after which the
-//! snapshot equals the offline report exactly (`tests/fault_matrix.rs`
-//! checks the three-way identity under the full fault matrix).
+//! Lock order: the engine lock is taken before the database lock. The
+//! daemon never holds the database lock while it notifies the sink, so
+//! a drain cannot deadlock against a snapshot.
 //!
 //! Epoch map files are written once and never mutated (the VM agent
 //! creates `map.<epoch>` at epoch boundaries); the rescan relies on
 //! that — a path already processed is never re-read.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, MutexGuard};
 
 use oprofile::daemon::DrainSink;
-use oprofile::{SampleDb, SampleOrigin, SinkHandle, SAMPLE_JOURNAL_PATH};
+use oprofile::{SampleDb, SampleOrigin};
 use sim_cpu::ProcKey;
 use sim_jvm::bootimage::{BOOT_IMAGE_NAME, RVM_MAP_PATH};
-use sim_os::journal::{self, split_traced_payload, KIND_SAMPLE_BATCH, KIND_SAMPLE_BATCH_TRACED};
 use sim_os::sync::Mutex;
-use sim_os::{ImageId, Kernel};
+use sim_os::{crc32, ImageId, Kernel};
 use viprof_telemetry::{names, Counter, Stage, Telemetry, TraceCtx, TraceLayer};
 
 use crate::bootmap::BootMap;
-use crate::codemap::{parse_map, CodeMapSet, EpochMap, JIT_MAP_DIR};
+use crate::codemap::{map_prefix, CodeMapSet};
 use crate::engine::ResolutionEngine;
 use crate::flatindex::FlatIndex;
 use crate::resolve::{discover_keys, ResolutionQuality};
@@ -62,7 +65,7 @@ use crate::session::{ReportSpec, SessionReport};
 pub struct LiveSpec {
     /// Drop the frozen index of a reaped incarnation that never
     /// received a sample (its rows can never appear in a report).
-    /// Indexes of *sampled* incarnations are kept — the shadow
+    /// Indexes of *sampled* incarnations are kept — the sample
     /// database is cumulative, so they stay resolvable forever.
     pub drop_frozen: bool,
 }
@@ -129,17 +132,19 @@ struct LiveTelemetry {
     snapshot_stage: Stage,
 }
 
-/// Streaming resolution engine: a shadow sample database plus
-/// incrementally maintained flat indexes, able to produce a full
+/// Streaming resolution engine: incrementally maintained flat indexes
+/// over the session's sample database, able to produce a full
 /// [`SessionReport`] at any point mid-run.
 pub struct LiveEngine {
     spec: LiveSpec,
     engine: ResolutionEngine,
-    db: SampleDb,
+    /// The database snapshots resolve. A session points this at the
+    /// daemon's handle before the first drain (the per-incarnation
+    /// sample counts in `keys` must describe this database); a
+    /// standalone engine keeps the empty one [`LiveEngine::new`] made.
+    pub(crate) db: Arc<Mutex<SampleDb>>,
     keys: HashMap<ProcKey, KeyState>,
-    /// Journal sequence numbers already merged (replay dedup).
-    applied: HashSet<u64>,
-    /// Batches accepted (post-dedup).
+    /// Batches ingested.
     batches: u64,
     /// `(len, crc32)` of `RVM.map` when the boot map was last loaded.
     boot_fp: Option<(usize, u32)>,
@@ -147,8 +152,8 @@ pub struct LiveEngine {
     sealed: bool,
     telemetry: Option<LiveTelemetry>,
     /// Causal parent for spans emitted during the current ingest: the
-    /// daemon's drain span while an `on_batch` is in flight, the
-    /// session root during `seal`'s replay, `None` otherwise.
+    /// daemon's drain span while an `on_batch` is in flight, `None`
+    /// otherwise (spans then hang off the session root).
     span_parent: Option<TraceCtx>,
 }
 
@@ -157,7 +162,6 @@ impl std::fmt::Debug for LiveEngine {
         f.debug_struct("LiveEngine")
             .field("batches", &self.batches)
             .field("keys", &self.keys.len())
-            .field("samples", &self.db.total_samples())
             .field("sealed", &self.sealed)
             .finish()
     }
@@ -168,9 +172,8 @@ impl LiveEngine {
         LiveEngine {
             spec,
             engine: ResolutionEngine::empty(),
-            db: SampleDb::new(),
+            db: Arc::new(Mutex::new(SampleDb::new())),
             keys: HashMap::new(),
-            applied: HashSet::new(),
             batches: 0,
             boot_fp: None,
             boot_image: None,
@@ -205,18 +208,15 @@ impl LiveEngine {
         });
     }
 
-    /// Mirror the daemon's admission cap so the shadow database evicts
-    /// and rejects the same buckets the authoritative one does.
-    pub fn set_db_cap(&mut self, cap: Option<usize>) {
-        self.db.set_admission_cap(cap);
+    /// The sample database snapshots resolve, locked: the daemon's
+    /// own in a session, the engine's own when standalone. A
+    /// standalone caller merges each batch in here before
+    /// [`on_batch`](Self::on_batch).
+    pub fn db(&self) -> MutexGuard<'_, SampleDb> {
+        self.db.lock()
     }
 
-    /// The shadow sample database (converges to the daemon's).
-    pub fn db(&self) -> &SampleDb {
-        &self.db
-    }
-
-    /// Batches accepted so far (after journal-sequence deduplication).
+    /// Batches ingested so far.
     pub fn batches(&self) -> u64 {
         self.batches
     }
@@ -226,16 +226,11 @@ impl LiveEngine {
         self.sealed
     }
 
-    /// Wrap a shared engine as a daemon drain sink.
-    pub fn sink(engine: Arc<Mutex<LiveEngine>>) -> SinkHandle {
-        SinkHandle::new(LiveSink(engine))
-    }
-
-    /// Ingest one drained batch: merge samples, extend affected
-    /// indexes, freeze reaped incarnations. `seq` is the batch's
-    /// journal sequence number when journaling is on; a sequence seen
-    /// before (supervisor restart replaying the write-ahead log) is
-    /// dropped.
+    /// Ingest one drained batch that is already merged into
+    /// [`db`](Self::db): count its samples per incarnation, extend
+    /// affected indexes, freeze reaped incarnations. `seq` is the
+    /// batch's journal sequence number when journaling is on (it only
+    /// labels the batch event).
     /// `ctx` is the daemon's drain span: live spans emitted while this
     /// batch is processed (extends, rebuilds, freezes) chain to it.
     pub fn on_batch(
@@ -248,14 +243,8 @@ impl LiveEngine {
         if self.sealed {
             return;
         }
-        if let Some(seq) = seq {
-            if !self.applied.insert(seq) {
-                return;
-            }
-        }
         self.span_parent = ctx;
         self.batches += 1;
-        self.db.merge(batch);
         self.note_samples(kernel, batch);
         self.refresh_boot(kernel);
         self.rescan_all(kernel, false);
@@ -270,58 +259,33 @@ impl LiveEngine {
                     ("seq", seq.unwrap_or(u64::MAX)),
                     ("journaled", seq.is_some() as u64),
                     ("samples", batch.total_samples()),
-                    ("db_buckets", self.db.len() as u64),
+                    ("db_buckets", self.db.lock().len() as u64),
                 ],
             );
         }
     }
 
-    /// Close the stream: replay journal records the sink never
-    /// delivered (deduplicated by sequence number), refresh the boot
-    /// map, and rescan every incarnation — frozen ones included — so
-    /// the engine reflects the final on-disk state. After sealing,
-    /// further batches are ignored and the snapshot is the session's
-    /// final report.
+    /// Close the stream: refresh the boot map and rescan every
+    /// incarnation — frozen ones included — so the engine reflects the
+    /// final on-disk state. After sealing, further batches are ignored
+    /// and the snapshot is the session's final report.
     pub fn seal(&mut self, kernel: &Kernel) {
         if self.sealed {
             return;
         }
         self.sealed = true;
-        self.span_parent = self
-            .telemetry
-            .as_ref()
-            .and_then(|t| t.registry.trace_root());
-        if let Some(scan) = journal::scan(&kernel.vfs, SAMPLE_JOURNAL_PATH) {
-            for rec in &scan.records {
-                let body = match rec.kind {
-                    KIND_SAMPLE_BATCH => Some(&rec.payload[..]),
-                    KIND_SAMPLE_BATCH_TRACED => split_traced_payload(&rec.payload).map(|(_, b)| b),
-                    _ => None,
-                };
-                let Some(body) = body else { continue };
-                if !self.applied.insert(rec.seq) {
-                    continue;
-                }
-                if let Ok(batch) = SampleDb::from_bytes(body) {
-                    self.batches += 1;
-                    self.db.merge(&batch);
-                    self.note_samples(kernel, &batch);
-                }
-            }
-        }
         self.refresh_boot(kernel);
         self.rescan_all(kernel, true);
-        self.span_parent = None;
     }
 
     /// Produce a full report from the current live state. Runs the
-    /// same resolve code as the batch engine over the shadow database,
-    /// so a snapshot after [`seal`](Self::seal) is bit-identical to
-    /// the offline report. Cost is proportional to the number of
-    /// distinct sample buckets plus report rows.
+    /// same resolve code as the batch engine over the same sample
+    /// database, so a snapshot after [`seal`](Self::seal) is
+    /// bit-identical to the offline report. Cost is proportional to
+    /// the number of distinct sample buckets plus report rows.
     pub fn snapshot(&mut self, kernel: &Kernel, spec: &ReportSpec) -> SessionReport {
         self.engine.set_damage(self.damage());
-        let report = self.engine.resolve(&self.db, kernel, spec);
+        let report = self.engine.resolve(&self.db.lock(), kernel, spec);
         if let Some(t) = &self.telemetry {
             t.snapshot_stage.record(0);
             t.registry.event(
@@ -390,7 +354,7 @@ impl LiveEngine {
         let fp = kernel
             .vfs
             .read(RVM_MAP_PATH)
-            .map(|bytes| (bytes.len(), journal::crc32(bytes)));
+            .map(|bytes| (bytes.len(), crc32(bytes)));
         if boot_image == self.boot_image && fp == self.boot_fp {
             return;
         }
@@ -429,13 +393,8 @@ impl LiveEngine {
     /// full rebuild when a new epoch arrives out of order (older than
     /// an already-flattened one) or an extend refuses.
     fn rescan_key(&mut self, kernel: &Kernel, key: ProcKey, on_disk: bool) {
-        let prefix = format!("{}/{}/{}/map.", JIT_MAP_DIR, key.pid.0, key.gen);
-        let paths: Vec<String> = kernel
-            .vfs
-            .list(&prefix)
-            .iter()
-            .map(|p| p.to_string())
-            .collect();
+        let prefix = map_prefix(key);
+        let paths = kernel.vfs.list(&prefix);
         if paths.is_empty() {
             // A discovered incarnation directory with no map files at
             // all (journal only — every map write torn, say) loads as
@@ -452,24 +411,15 @@ impl LiveEngine {
             return;
         }
         let st = self.keys.entry(key).or_default();
-        let mut fresh: Vec<EpochMap> = Vec::new();
-        for path in paths {
-            if st.files.contains(&path) {
-                continue;
-            }
-            let epoch = path[prefix.len()..].parse::<u64>().ok();
-            st.files.insert(path.clone());
-            let map = epoch.and_then(|epoch| {
-                let text = std::str::from_utf8(kernel.vfs.read(&path)?).ok()?;
-                let parsed = parse_map(text);
-                st.quarantined_lines += parsed.quarantined;
-                Some(EpochMap::new(epoch, parsed.entries))
-            });
-            match map {
-                Some(map) => fresh.push(map),
-                None => st.skipped_files += 1,
-            }
-        }
+        let new_paths: Vec<&str> = paths
+            .into_iter()
+            .filter(|path| !st.files.contains(*path))
+            .collect();
+        st.files.extend(new_paths.iter().map(|path| path.to_string()));
+        let read = CodeMapSet::read_files(&kernel.vfs, &prefix, new_paths);
+        st.quarantined_lines += read.quarantined_lines;
+        st.skipped_files += read.skipped_files;
+        let fresh = read.maps();
         if fresh.is_empty() {
             if st.failed() {
                 // Every file for this incarnation is unusable: the
@@ -478,7 +428,6 @@ impl LiveEngine {
             }
             return;
         }
-        fresh.sort_by_key(|m| m.epoch);
         let in_order = st
             .epochs
             .last()
@@ -493,7 +442,7 @@ impl LiveEngine {
             }
             let mut extended = 0u64;
             let mut ok = true;
-            for map in &fresh {
+            for map in fresh {
                 let ordinal = st.epochs.len() as u32;
                 let index = self.engine.index_mut(&key).expect("index just ensured");
                 if index.extend(map, ordinal) {
@@ -527,10 +476,9 @@ impl LiveEngine {
     /// Slow path: reload the incarnation from disk exactly the way the
     /// batch resolver does and rebuild its index from scratch.
     fn rebuild_key(&mut self, kernel: &Kernel, key: ProcKey) {
-        let prefix = format!("{}/{}/{}/map.", JIT_MAP_DIR, key.pid.0, key.gen);
         let files: HashSet<String> = kernel
             .vfs
-            .list(&prefix)
+            .list(&map_prefix(key))
             .iter()
             .map(|p| p.to_string())
             .collect();
@@ -620,10 +568,9 @@ impl LiveEngine {
     }
 }
 
-/// Adapter feeding daemon drain batches into a shared [`LiveEngine`].
-pub struct LiveSink(pub Arc<Mutex<LiveEngine>>);
-
-impl DrainSink for LiveSink {
+/// A session shares its engine with the daemon as the drain sink:
+/// delivering a batch takes the engine lock only.
+impl DrainSink for LiveEngine {
     fn on_batch(
         &mut self,
         kernel: &Kernel,
@@ -631,7 +578,7 @@ impl DrainSink for LiveSink {
         batch: &SampleDb,
         ctx: Option<TraceCtx>,
     ) {
-        self.0.lock().on_batch(kernel, seq, batch, ctx);
+        LiveEngine::on_batch(self, kernel, seq, batch, ctx);
     }
 }
 
@@ -677,13 +624,20 @@ mod tests {
         db
     }
 
+    /// One drain as the daemon performs it: merge the batch into the
+    /// database, then hand it to the engine.
+    fn drain(live: &mut LiveEngine, kernel: &Kernel, seq: u64, batch: &SampleDb) {
+        live.db().merge(batch);
+        live.on_batch(kernel, Some(seq), batch, None);
+    }
+
     fn snap_equals_batch(live: &mut LiveEngine, kernel: &Kernel) {
         let spec = ReportSpec::default();
         let snap = live.snapshot(kernel, &spec);
         let (resolver, _) =
             ViprofResolver::load_with(kernel, ResolveOptions::default()).expect("batch load");
         let mut batch = ResolutionEngine::build(&resolver);
-        let offline = batch.resolve(live.db(), kernel, &spec);
+        let offline = batch.resolve(&live.db(), kernel, &spec);
         assert_eq!(snap.lines, offline.lines);
         assert_eq!(snap.quality, offline.quality);
         assert_eq!(snap.incarnations, offline.incarnations);
@@ -697,27 +651,12 @@ mod tests {
         let mut live = LiveEngine::new(LiveSpec::new());
 
         write_map(&mut kernel, key, 0, &[entry(0x2000_0000, 0x100, "A.run()V")]);
-        live.on_batch(&kernel, Some(0), &jit_batch(key, 0x2000_0010, 0, 5), None);
+        drain(&mut live, &kernel, 0, &jit_batch(key, 0x2000_0010, 0, 5));
         write_map(&mut kernel, key, 1, &[entry(0x2000_0200, 0x80, "B.run()V")]);
-        live.on_batch(&kernel, Some(1), &jit_batch(key, 0x2000_0210, 1, 3), None);
+        drain(&mut live, &kernel, 1, &jit_batch(key, 0x2000_0210, 1, 3));
 
         assert_eq!(live.batches(), 2);
         snap_equals_batch(&mut live, &kernel);
-    }
-
-    #[test]
-    fn replayed_sequences_are_deduplicated() {
-        let mut kernel = Kernel::new();
-        let pid = kernel.spawn("java");
-        let key = ProcKey::from(pid);
-        write_map(&mut kernel, key, 0, &[entry(0x2000_0000, 0x100, "A.run()V")]);
-
-        let mut live = LiveEngine::new(LiveSpec::new());
-        let batch = jit_batch(key, 0x2000_0010, 0, 7);
-        live.on_batch(&kernel, Some(3), &batch, None);
-        live.on_batch(&kernel, Some(3), &batch, None); // supervisor replay
-        assert_eq!(live.batches(), 1);
-        assert_eq!(live.db().total_samples(), 7);
     }
 
     #[test]
@@ -728,10 +667,10 @@ mod tests {
         let mut live = LiveEngine::new(LiveSpec::new());
 
         write_map(&mut kernel, key, 2, &[entry(0x2000_0000, 0x100, "C.run()V")]);
-        live.on_batch(&kernel, Some(0), &jit_batch(key, 0x2000_0010, 2, 2), None);
+        drain(&mut live, &kernel, 0, &jit_batch(key, 0x2000_0010, 2, 2));
         // An older epoch appears late (torn agent flush): rebuild path.
         write_map(&mut kernel, key, 1, &[entry(0x2000_0000, 0x100, "B.run()V")]);
-        live.on_batch(&kernel, Some(1), &jit_batch(key, 0x2000_0010, 1, 2), None);
+        drain(&mut live, &kernel, 1, &jit_batch(key, 0x2000_0010, 1, 2));
 
         snap_equals_batch(&mut live, &kernel);
     }
@@ -745,39 +684,29 @@ mod tests {
 
         let other = kernel.spawn("other");
         let mut live = LiveEngine::new(LiveSpec::new());
-        live.on_batch(&kernel, Some(0), &jit_batch(key, 0x2000_0010, 0, 4), None);
+        drain(&mut live, &kernel, 0, &jit_batch(key, 0x2000_0010, 0, 4));
         kernel.exit_process(pid);
         // Key has samples: frozen but index retained.
-        live.on_batch(&kernel, Some(1), &jit_batch(ProcKey::from(other), 0, 0, 0), None);
+        drain(&mut live, &kernel, 1, &jit_batch(ProcKey::from(other), 0, 0, 0));
         assert!(live.keys[&key].frozen);
         assert!(!live.keys[&key].dropped);
         snap_equals_batch(&mut live, &kernel);
     }
 
     #[test]
-    fn seal_replays_missed_journal_batches() {
-        use sim_os::journal::JournalWriter;
-
+    fn seal_is_idempotent() {
         let mut kernel = Kernel::new();
         let pid = kernel.spawn("java");
         let key = ProcKey::from(pid);
         write_map(&mut kernel, key, 0, &[entry(0x2000_0000, 0x100, "A.run()V")]);
 
-        let delivered = jit_batch(key, 0x2000_0010, 0, 5);
-        let missed = jit_batch(key, 0x2000_0020, 0, 3);
-        let mut writer = JournalWriter::create(&mut kernel.vfs, SAMPLE_JOURNAL_PATH);
-        let seq0 = writer.append(&mut kernel.vfs, KIND_SAMPLE_BATCH, &delivered.to_bytes());
-        writer.append(&mut kernel.vfs, KIND_SAMPLE_BATCH, &missed.to_bytes());
-
         let mut live = LiveEngine::new(LiveSpec::new());
-        live.on_batch(&kernel, Some(seq0), &delivered, None);
-        assert_eq!(live.db().total_samples(), 5);
+        drain(&mut live, &kernel, 0, &jit_batch(key, 0x2000_0010, 0, 5));
         live.seal(&kernel);
-        // The record the sink never saw is merged exactly once.
-        assert_eq!(live.db().total_samples(), 8);
-        assert_eq!(live.batches(), 2);
-        live.seal(&kernel); // idempotent
-        assert_eq!(live.db().total_samples(), 8);
+        live.seal(&kernel);
+        assert!(live.sealed());
+        assert_eq!(live.batches(), 1);
+        assert_eq!(live.db().total_samples(), 5);
         snap_equals_batch(&mut live, &kernel);
     }
 }

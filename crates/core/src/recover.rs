@@ -30,7 +30,7 @@
 //! alongside `ResolutionQuality` so "how much was saved" is as
 //! measurable as "how much was lost".
 
-use crate::codemap::{journal_path, parse_map, CodeMapSet, EpochMap, ParsedMap, JIT_MAP_DIR};
+use crate::codemap::{journal_path, map_prefix, parse_map, CodeMapSet, EpochMap, ParsedMap};
 use oprofile::{SampleDb, SAMPLE_JOURNAL_PATH};
 use sim_cpu::ProcKey;
 use sim_os::journal::{
@@ -111,7 +111,7 @@ pub fn recover_codemaps(vfs: &Vfs, key: impl Into<ProcKey>) -> Option<(CodeMapSe
     };
     // On-disk state first, exactly as the degraded loader sees it:
     // `Some(parsed)` for readable files, `None` for unreadable ones.
-    let prefix = format!("{JIT_MAP_DIR}/{}/{}/map.", key.pid.0, key.gen);
+    let prefix = map_prefix(key);
     let mut epochs: BTreeMap<u64, Option<ParsedMap>> = BTreeMap::new();
     let mut skipped_unnameable = 0u64;
     for path in vfs.list(&prefix) {

@@ -13,7 +13,7 @@ use crate::resolve::{IncarnationSummary, ResolutionQuality, ResolveOptions, Vipr
 use crate::runtime::ViprofExtension;
 use oprofile::report::{Report, ReportOptions};
 use oprofile::{
-    DaemonFaultStats, DriverFaultStats, DriverStats, OpConfig, Oprofile, SampleDb,
+    DaemonFaultStats, DriverFaultStats, DriverStats, OpConfig, Oprofile, SampleDb, SinkHandle,
     SupervisorConfig, SupervisorStats,
 };
 use sim_cpu::CostModel;
@@ -87,8 +87,8 @@ impl SessionBuilder {
     /// Maintain a [`LiveEngine`] alongside the session: the daemon
     /// feeds it every drained batch, and
     /// [`Viprof::live_snapshot`] produces a full [`SessionReport`]
-    /// at any point mid-run. The engine shares the session's
-    /// telemetry registry and mirrors its admission cap.
+    /// at any point mid-run. The engine resolves the daemon's own
+    /// sample database and shares the session's telemetry registry.
     pub fn live(mut self, spec: LiveSpec) -> SessionBuilder {
         self.live = Some(spec);
         self
@@ -281,14 +281,13 @@ impl Viprof {
     ) -> Viprof {
         let live = live.map(|spec| {
             // The live engine shares the session's registry (created
-            // here when the config didn't bring one) and mirrors the
-            // daemon's admission cap, then plugs into the drain sink.
+            // here when the config didn't bring one) and plugs into
+            // the drain sink.
             let telemetry = config.telemetry.get_or_insert_with(Telemetry::new).clone();
             let mut engine = LiveEngine::new(spec);
             engine.set_telemetry(&telemetry);
-            engine.set_db_cap(config.db_bucket_cap);
             let engine = Arc::new(Mutex::new(engine));
-            config.drain_sink = Some(LiveEngine::sink(engine.clone()));
+            config.drain_sink = Some(SinkHandle::new(engine.clone()));
             engine
         });
         let registry = JitRegistry::shared();
@@ -296,6 +295,11 @@ impl Viprof {
         let journal = config.journal;
         let ext = Box::new(ViprofExtension::new(registry.clone(), cost.vm_probe_cycles));
         let op = Oprofile::start_with_extension(machine, config, ext);
+        if let Some(live) = &live {
+            // Before any drain: the engine resolves the daemon's
+            // database rather than keeping a copy of its own.
+            live.lock().db = op.db.clone();
+        }
         Viprof {
             op,
             registry,
@@ -363,9 +367,9 @@ impl Viprof {
     }
 
     /// Stop profiling; returns the final sample database. A live
-    /// session's engine is sealed here — it replays any journal
-    /// batches the sink never saw and does a final map rescan, after
-    /// which [`Viprof::live_snapshot`] equals the offline report.
+    /// session's engine is sealed here — after the final flush reaches
+    /// it, it does a final map rescan, after which
+    /// [`Viprof::live_snapshot`] equals the offline report.
     pub fn stop(&self, machine: &mut Machine) -> SampleDb {
         let db = self.op.stop(machine);
         if let Some(live) = &self.live {
@@ -876,59 +880,67 @@ mod tests {
 
     #[test]
     fn live_session_final_snapshot_matches_offline_report() {
-        let mut machine = Machine::new(MachineConfig::default());
-        let mut config = OpConfig::time_at(20_000);
-        // Drain often so the stream sees many incremental batches.
-        config.daemon_period_cycles = 2_000_000;
-        let viprof = Viprof::builder()
-            .config(config)
-            .journal(true)
-            .live(LiveSpec::new())
-            .start(&mut machine);
-        let mut natives = NativeRegistry::new();
-        let program = bench_program(&mut natives);
-        let mut vm = Vm::boot(
-            &mut machine,
-            program,
-            natives,
-            vm_config(96 * 1024),
-            Box::new(viprof.make_agent()),
-        );
-        vm.run(&mut machine);
+        // Unbounded, and with an admission cap small enough that the
+        // daemon's database evicts.
+        for cap in [None, Some(48)] {
+            let mut machine = Machine::new(MachineConfig::default());
+            let mut config = OpConfig::time_at(20_000);
+            // Drain often so the stream sees many incremental batches.
+            config.daemon_period_cycles = 2_000_000;
+            config.db_bucket_cap = cap;
+            let viprof = Viprof::builder()
+                .config(config)
+                .journal(true)
+                .live(LiveSpec::new())
+                .start(&mut machine);
+            let live = viprof.live_engine().expect("live session");
+            // One sample database: the engine resolves the daemon's.
+            assert!(Arc::ptr_eq(&live.lock().db, &viprof.op.db), "cap={cap:?}");
+            let mut natives = NativeRegistry::new();
+            let program = bench_program(&mut natives);
+            let mut vm = Vm::boot(
+                &mut machine,
+                program,
+                natives,
+                vm_config(96 * 1024),
+                Box::new(viprof.make_agent()),
+            );
+            vm.run(&mut machine);
 
-        // Mid-run: a full report is available and fully accounted
-        // against the samples streamed so far.
-        let mid = viprof
-            .live_snapshot(&machine.kernel, &ReportSpec::default())
-            .expect("live session");
-        let live = viprof.live_engine().expect("live session");
-        assert!(mid.quality.accounted() > 0, "{:?}", mid.quality);
-        assert_eq!(mid.quality.accounted(), live.lock().db().total_samples());
-        assert!(!mid.lines.rows.is_empty());
-
-        vm.shutdown(&mut machine);
-        let db = viprof.stop(&mut machine);
-
-        // Sealed: the shadow database converged to the authoritative
-        // one, and the final snapshot is bit-identical to the offline
-        // report at every thread count.
-        assert_eq!(*live.lock().db(), db);
-        for threads in [1usize, 4] {
-            let spec = ReportSpec::default().threads(threads);
-            let snap = viprof
-                .live_snapshot(&machine.kernel, &spec)
+            // Mid-run: a full report is available and fully accounted
+            // against the samples streamed so far.
+            let mid = viprof
+                .live_snapshot(&machine.kernel, &ReportSpec::default())
                 .expect("live session");
-            let offline = Viprof::make_report(&db, &machine.kernel, &spec).unwrap();
-            assert_eq!(snap.lines, offline.lines, "threads={threads}");
-            assert_eq!(snap.quality, offline.quality, "threads={threads}");
-            assert_eq!(snap.incarnations, offline.incarnations, "threads={threads}");
-        }
+            assert!(mid.quality.accounted() > 0, "{:?}", mid.quality);
+            assert_eq!(mid.quality.accounted(), live.lock().db().total_samples());
+            assert!(!mid.lines.rows.is_empty());
 
-        // The streaming pipeline left its telemetry trail.
-        let t = viprof.telemetry().snapshot();
-        assert!(t.counter(names::LIVE_BATCHES) > 0);
-        assert!(t.counter(names::LIVE_INCREMENTAL_EXTENDS) > 0);
-        assert!(t.stage(names::STAGE_LIVE_SNAPSHOT).is_some());
+            vm.shutdown(&mut machine);
+            let db = viprof.stop(&mut machine);
+
+            // Sealed: the final snapshot is bit-identical to the
+            // offline report at every thread count.
+            for threads in [1usize, 4] {
+                let spec = ReportSpec::default().threads(threads);
+                let snap = viprof
+                    .live_snapshot(&machine.kernel, &spec)
+                    .expect("live session");
+                let offline = Viprof::make_report(&db, &machine.kernel, &spec).unwrap();
+                let what = format!("cap={cap:?} threads={threads}");
+                assert_eq!(snap.lines, offline.lines, "{what}");
+                assert_eq!(snap.quality, offline.quality, "{what}");
+                assert_eq!(snap.incarnations, offline.incarnations, "{what}");
+                // The capped run really evicts.
+                assert_eq!(snap.quality.evicted > 0, cap.is_some(), "{what}");
+            }
+
+            // The streaming pipeline left its telemetry trail.
+            let t = viprof.telemetry().snapshot();
+            assert!(t.counter(names::LIVE_BATCHES) > 0);
+            assert!(t.counter(names::LIVE_INCREMENTAL_EXTENDS) > 0);
+            assert!(t.stage(names::STAGE_LIVE_SNAPSHOT).is_some());
+        }
     }
 
     #[test]

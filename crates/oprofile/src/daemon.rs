@@ -181,8 +181,10 @@ pub trait DrainSink: Send {
 pub struct SinkHandle(Arc<Mutex<dyn DrainSink>>);
 
 impl SinkHandle {
-    pub fn new(sink: impl DrainSink + 'static) -> SinkHandle {
-        SinkHandle(Arc::new(Mutex::new(sink)))
+    /// Share `sink` with the daemon: the caller keeps its own handle
+    /// to the same lock (a live session snapshots the engine it feeds).
+    pub fn new<S: DrainSink + 'static>(sink: Arc<Mutex<S>>) -> SinkHandle {
+        SinkHandle(sink)
     }
 
     pub fn on_batch(
@@ -461,18 +463,6 @@ impl Daemon {
         self.pid
     }
 
-    /// One drain: move buffered samples into the DB, return the cycles
-    /// the daemon consumed doing so. Shared by the timer path and the
-    /// final synchronous flush at `stop`.
-    pub fn drain_once(
-        driver: &Mutex<Driver>,
-        db: &Mutex<SampleDb>,
-        cost: &CostModel,
-    ) -> (u64, u64) {
-        let (batch, cycles, _) = Daemon::drain_batch(driver, db, cost);
-        (batch.total_samples(), cycles)
-    }
-
     /// Drop the extension's registrations for processes that died
     /// since the last window, so subsequent drains refuse their late
     /// samples instead of resolving them against whatever owns the pid
@@ -496,11 +486,14 @@ impl Daemon {
         reaped
     }
 
-    /// [`Daemon::drain_once`], returning the drained window as its own
-    /// [`SampleDb`] (already merged into `db`). The batch is what gets
-    /// journaled: replaying every batch record in order rebuilds the
-    /// full database, because [`SampleDb::merge`] is the same operation
-    /// the drain itself performs.
+    /// One drain: move buffered samples into `db` and return the
+    /// drained window as its own [`SampleDb`] (already merged), with
+    /// the cycles the daemon consumed doing so. Shared by the timer
+    /// path, the supervisor's catch-up drain and the final synchronous
+    /// flush at `stop`. The batch is what gets journaled: replaying
+    /// every batch record in order rebuilds the full database, because
+    /// [`SampleDb::merge`] is the same operation the drain itself
+    /// performs.
     /// The drained vector is recycled back into the ring before the
     /// driver lock drops, so steady-state drains allocate nothing. The
     /// returned batch's `evicted` counts samples the shared database's

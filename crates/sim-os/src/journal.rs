@@ -366,8 +366,7 @@ impl JournalWriter {
     }
 
     /// The sequence number the next appended record will carry — what
-    /// a drain-order observer (e.g. a live drain sink deduplicating
-    /// replayed batches) should expect from the upcoming record.
+    /// a drain-order observer should expect from the upcoming record.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
     }

@@ -31,10 +31,9 @@ pub enum ProfilerKind {
     /// supervisor (both seeded from the plan, so runs replay).
     ViprofSupervised(OpConfig, FaultPlan),
     /// VIProf with the streaming resolution engine riding the daemon's
-    /// drain sink (journaled, so replayed batches exercise the
-    /// sequence dedup). The optional fault plan puts the stream under
-    /// the robustness matrix; the sealed final snapshot comes back in
-    /// [`RunOutcome::live`].
+    /// drain sink, journaled. The optional fault plan puts the stream
+    /// under the robustness matrix; the sealed final snapshot comes
+    /// back in [`RunOutcome::live`].
     ViprofLive(OpConfig, Option<FaultPlan>),
 }
 

@@ -954,8 +954,8 @@ fn churn_chaos_soak_replays_and_stays_accounted() {
     // to the `supervised(true)` toggle). Attaching the sink is
     // invisible to the simulation, and the sealed snapshot is the
     // batch report — under pid-reuse churn, overflow, a daemon crash
-    // with supervisor restarts, and the replayed journal batches the
-    // restarts produce (sequence dedup under fire).
+    // with supervisor restarts, and the catch-up drains the restarts
+    // produce.
     let live_run = run_benchmark(
         &built,
         &plan,
