@@ -13,18 +13,21 @@
 //!
 //! 2. **Streaming snapshots.** A [`viprof::LiveEngine`] is fed one
 //!    drain batch per epoch (maps appearing as they are "compiled"),
-//!    with `snapshot()` latency measured mid-run and after sealing. The
-//!    sealed snapshot is asserted identical — lines, quality,
-//!    incarnations — to the batch `ResolutionEngine` over the same
-//!    database.
+//!    each journaled as a traced record the way the daemon journals
+//!    its drains, with `snapshot()` latency measured mid-run and after
+//!    sealing. The sealed snapshot is asserted identical — lines,
+//!    quality, incarnations, lineage and trace — to the batch
+//!    `ResolutionEngine` over the same database and journal.
 //!
 //! Results land in `results/BENCH_live.json`. Usage:
 //! `bench_live [--smoke]` — `--smoke` shrinks the session so
 //! `scripts/verify.sh` can run it as a correctness gate in seconds.
 
-use oprofile::{SampleBucket, SampleDb, SampleOrigin};
+use oprofile::{Daemon, SampleBucket, SampleDb, SampleOrigin, SAMPLE_JOURNAL_PATH};
 use sim_cpu::HwEvent;
-use sim_os::Kernel;
+use sim_os::sync::Mutex;
+use sim_os::{JournalWriter, Kernel};
+use std::sync::Arc;
 use std::time::Instant;
 use viprof::codemap::{map_path, render_map, CodeMapEntry, CodeMapSet, EpochMap};
 use viprof::resolve::ResolveOptions;
@@ -182,8 +185,8 @@ struct StreamingRun {
     samples: u64,
     incremental_extends: u64,
     full_rebuilds: u64,
-    /// Total time spent merging batches and inside `on_batch` across
-    /// the run.
+    /// Total time spent merging batches, journaling them and inside
+    /// `on_batch` across the run.
     ingest_ms: f64,
     midrun_snapshot_ms: f64,
     /// Sealed snapshot on one shard, min over the timed runs.
@@ -210,7 +213,10 @@ impl_to_json!(StreamingRun {
 
 /// One drain per epoch: the epoch's maps land on disk, then a batch of
 /// samples (uniform over the methods compiled so far, tagged with the
-/// current epoch) is merged and pushed through `on_batch`.
+/// current epoch, with a few overflow and admission losses) is merged,
+/// journaled as a traced record by the daemon's `journal_batch`, and
+/// pushed through `on_batch` with that record's sequence number and
+/// span — so lineage attributes every loss to its journaled batch.
 fn measure_streaming(s: &Scenario, threads: usize, runs: u32) -> StreamingRun {
     let mut kernel = Kernel::new();
     let pids: Vec<_> = (0..s.pids)
@@ -220,6 +226,10 @@ fn measure_streaming(s: &Scenario, threads: usize, runs: u32) -> StreamingRun {
     let registry = Telemetry::new();
     let mut live = LiveEngine::new(LiveSpec::new());
     live.set_telemetry(&registry);
+    let journal = Some(Arc::new(Mutex::new(JournalWriter::create(
+        &mut kernel.vfs,
+        SAMPLE_JOURNAL_PATH,
+    ))));
     let spec = ReportSpec::default().threads(threads);
 
     let mut rng = SplitMix64(GENERATOR_SEED ^ s.samples);
@@ -247,9 +257,13 @@ fn measure_streaming(s: &Scenario, threads: usize, runs: u32) -> StreamingRun {
                 1,
             );
         }
+        batch.dropped = epoch % 3;
+        batch.evicted = epoch % 2;
         let t = Instant::now();
         live.db().merge(&batch);
-        live.on_batch(&kernel, Some(epoch), &batch, None);
+        let journaled =
+            Daemon::journal_batch(&journal, &mut kernel.vfs, &batch, None, Some(&registry));
+        live.on_batch(&kernel, journaled, &batch, None);
         ingest_ms += ms_since(t);
         if epoch == s.epochs / 2 {
             let t = Instant::now();
@@ -290,9 +304,14 @@ fn measure_streaming(s: &Scenario, threads: usize, runs: u32) -> StreamingRun {
         sealed.incarnations, offline.incarnations,
         "live incarnation rows diverged from batch"
     );
-    // Lineage and trace are pure functions of (journal, quality,
-    // incarnations): the sealed stream and the offline batch pass must
-    // agree byte for byte.
+    // Lineage and trace are pure functions of (loss ledger, quality,
+    // incarnations), and the stream's ledger is the journal's: the
+    // sealed stream and the offline batch pass must agree byte for
+    // byte, with every loss attributed to a journaled batch.
+    assert!(
+        sealed.lineage.total("dropped") > 0 && !sealed.lineage.render_text().contains("untraced"),
+        "streaming lineage did not attribute its losses to journaled batches"
+    );
     assert_eq!(sealed.lineage, offline.lineage, "live lineage diverged from batch");
     assert_eq!(
         sealed.trace.to_chrome_json(),

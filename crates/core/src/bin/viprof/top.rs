@@ -39,8 +39,10 @@ pub(super) fn run(cli: &Cli) {
 
     // Offline replay keeps every frozen index: the whole journal
     // references a fixed on-disk map set, so there is nothing to
-    // reclaim mid-stream. Traced (v2) batch records replay with their
-    // span context; untagged v1 records replay without one.
+    // reclaim mid-stream. Traced batch records replay with their
+    // journal span, in the slot the daemon's drain sink fills, so the
+    // engine's loss ledger equals the one `viprof report` reads from
+    // the journal; untagged v1 records replay without one.
     let mut live = LiveEngine::new(LiveSpec::new().with_drop_frozen(false));
     let mut replayed = 0u64;
     for rec in &scan.records {
@@ -63,7 +65,7 @@ pub(super) fn run(cli: &Cli) {
             continue;
         };
         live.db().merge(&batch);
-        live.on_batch(&kernel, Some(rec.seq), &batch, ctx);
+        live.on_batch(&kernel, Some((rec.seq, ctx)), &batch, ctx);
         replayed += 1;
         if interval > 0 && replayed.is_multiple_of(interval) {
             let snap = live.snapshot(&kernel, &spec);

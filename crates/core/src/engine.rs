@@ -28,10 +28,9 @@ use crate::flatindex::FlatIndex;
 use crate::resolve::{IncarnationSummary, ResolutionQuality, ViprofResolver};
 use crate::session::{ReportSpec, SessionReport};
 use oprofile::report::{bucket_label, finish_report, report_events};
-use oprofile::{SampleBucket, SampleDb, SampleOrigin, SAMPLE_JOURNAL_PATH, TIMELINE_PATH};
+use oprofile::{SampleBucket, SampleDb, SampleOrigin, TIMELINE_PATH};
 use sim_cpu::{HwEvent, Pid, ProcKey};
 use sim_jvm::bootimage::{BOOT_IMAGE_NAME, RVM_MAP_IMAGE_LABEL};
-use sim_os::journal::{self, split_traced_payload, KIND_SAMPLE_BATCH_TRACED};
 use sim_os::{ImageId, Kernel};
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -53,6 +52,22 @@ pub(crate) enum Class {
     /// The sample's incarnation has no maps while another incarnation
     /// of the same pid does — refused, never cross-resolved.
     Blocked,
+}
+
+/// One entry of the per-batch loss ledger that lineage attributes
+/// dropped and evicted samples to: a traced sample-batch journal
+/// record's sequence number, the journal span its header carries, and
+/// the batch's loss counts. The batch path reads the ledger from the
+/// journal once per load ([`ViprofResolver::load_with`]); a live engine
+/// appends one entry per journaled, traced batch its drain sink
+/// receives. The sink sees exactly the journaled record stream, so the
+/// two ledgers are equal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct BatchLoss {
+    pub(crate) seq: u64,
+    pub(crate) span: TraceCtx,
+    pub(crate) dropped: u64,
+    pub(crate) evicted: u64,
 }
 
 /// One shard's report rows: per-event counts keyed by (image, symbol).
@@ -244,6 +259,8 @@ pub struct ResolutionEngine {
     /// failed pids, missing epochs) — the static part of every quality
     /// report.
     damage: ResolutionQuality,
+    /// Per-batch loss ledger, in journal order (see [`BatchLoss`]).
+    ledger: Vec<BatchLoss>,
     jit_app: Arc<str>,
     unresolved_jit: Arc<str>,
     rvm_map: Arc<str>,
@@ -271,7 +288,8 @@ impl ResolutionEngine {
         }
     }
 
-    /// Flatten and intern everything the resolver loaded.
+    /// Flatten and intern everything the resolver loaded, and take
+    /// over its loss ledger.
     pub fn build(resolver: &ViprofResolver) -> ResolutionEngine {
         let mut engine = ResolutionEngine::empty();
         let mut damage = ResolutionQuality {
@@ -285,6 +303,7 @@ impl ResolutionEngine {
             engine.insert_index(*key, FlatIndex::build(set));
         }
         engine.damage = damage;
+        engine.ledger = resolver.ledger().to_vec();
         engine.set_boot(resolver.bootmap(), resolver.boot_image_id());
         engine
     }
@@ -345,6 +364,12 @@ impl ResolutionEngine {
     /// incrementally and installs the totals before each snapshot).
     pub(crate) fn set_damage(&mut self, damage: ResolutionQuality) {
         self.damage = damage;
+    }
+
+    /// Append one traced batch to the loss ledger (the live path, once
+    /// per journaled batch it ingests).
+    pub(crate) fn push_batch_loss(&mut self, loss: BatchLoss) {
+        self.ledger.push(loss);
     }
 
     /// Mirror every subsequent resolve pass into `registry`'s
@@ -513,7 +538,7 @@ impl ResolutionEngine {
             .map(|t| t.registry.snapshot())
             .unwrap_or_else(|| Telemetry::new().snapshot());
         let (lineage, trace) = if spec.trace {
-            Self::lineage_and_trace(kernel, &quality, &incarnations)
+            Self::lineage_and_trace(&self.ledger, &quality, &incarnations)
         } else {
             (LineageTable::default(), TraceSnapshot::default())
         };
@@ -549,18 +574,20 @@ impl ResolutionEngine {
     ///
     /// The trace runs on a *work-unit pseudo-clock* (one tick per
     /// logical step), never wall or sim time, and never emits
-    /// per-worker spans — so the same `(journal, quality,
+    /// per-worker spans — so the same `(ledger, quality,
     /// incarnations)` inputs produce a byte-identical trace at every
-    /// thread count, and batch vs sealed-live agree exactly.
+    /// thread count, and batch vs live agree exactly. It reads no
+    /// journal byte: the ledger was built at load (batch) or at ingest
+    /// (live), so its cost is one step per traced batch.
     ///
     /// Reconciliation is by construction: dropped/evicted samples are
-    /// attributed per traced journal batch only when the journaled
-    /// sums do not exceed the authoritative quality counts; any
-    /// remainder — or, on disagreement, the whole count — lands on the
-    /// ingest span as an `untraced` row. Per bucket, the lineage total therefore always
-    /// equals the quality count exactly.
+    /// attributed per traced journal batch only when the ledger's sums
+    /// do not exceed the authoritative quality counts; any remainder —
+    /// or, on disagreement, the whole count — lands on the ingest span
+    /// as an `untraced` row. Per bucket, the lineage total therefore
+    /// always equals the quality count exactly.
     fn lineage_and_trace(
-        kernel: &Kernel,
+        ledger: &[BatchLoss],
         quality: &ResolutionQuality,
         incarnations: &[IncarnationSummary],
     ) -> (LineageTable, TraceSnapshot) {
@@ -572,45 +599,35 @@ impl ResolutionEngine {
         let (root, _) = store.begin(TraceLayer::Resolve, names::SPAN_RESOLVE, None, now);
         let mut lineage = LineageTable::default();
 
-        // Traced journal batches: `(seq, runtime span ctx, dropped,
-        // evicted)`.
-        let mut batches: Vec<(u64, TraceCtx, u64, u64)> = Vec::new();
-        if let Some(scan) = journal::scan(&kernel.vfs, SAMPLE_JOURNAL_PATH) {
-            for rec in &scan.records {
-                if rec.kind != KIND_SAMPLE_BATCH_TRACED {
-                    continue;
-                }
-                let Some((ctx, body)) = split_traced_payload(&rec.payload) else {
-                    continue;
-                };
-                if let Ok(batch) = SampleDb::from_bytes(body) {
-                    batches.push((rec.seq, ctx, batch.dropped, batch.evicted));
-                }
-            }
-        }
-        let journaled_dropped: u64 = batches.iter().map(|b| b.2).sum();
-        let journaled_evicted: u64 = batches.iter().map(|b| b.3).sum();
+        let journaled_dropped: u64 = ledger.iter().map(|b| b.dropped).sum();
+        let journaled_evicted: u64 = ledger.iter().map(|b| b.evicted).sum();
         let drop_per_batch = journaled_dropped <= quality.dropped;
         let evict_per_batch = journaled_evicted <= quality.evicted;
         let (ingest, _) =
             store.begin(TraceLayer::Resolve, names::SPAN_RESOLVE_INGEST, Some(root), now);
-        for (seq, ctx, dropped, evicted) in &batches {
+        for b in ledger {
             now += 1;
-            let label = format!("journal batch seq {seq}");
+            let label = format!("journal batch seq {}", b.seq);
             if drop_per_batch {
                 lineage.push(
                     LINEAGE_DROPPED,
                     TraceLayer::Journal,
-                    Some(*ctx),
+                    Some(b.span),
                     label.as_str(),
-                    *dropped,
+                    b.dropped,
                 );
             }
             if evict_per_batch {
-                lineage.push(LINEAGE_EVICTED, TraceLayer::Journal, Some(*ctx), label, *evicted);
+                lineage.push(
+                    LINEAGE_EVICTED,
+                    TraceLayer::Journal,
+                    Some(b.span),
+                    label,
+                    b.evicted,
+                );
             }
         }
-        store.end(ingest, now, &[("batches", batches.len() as u64)]);
+        store.end(ingest, now, &[("batches", ledger.len() as u64)]);
         let rem_dropped =
             quality.dropped - if drop_per_batch { journaled_dropped } else { 0 };
         let rem_evicted =
@@ -849,8 +866,10 @@ mod tests {
     use super::*;
     use crate::codemap::{map_path, render_map, CodeMapEntry};
     use crate::resolve::ResolveOptions;
+    use oprofile::SAMPLE_JOURNAL_PATH;
     use sim_jvm::bootimage::well_known;
     use sim_jvm::BootImage;
+    use sim_os::journal::{self, KIND_SAMPLE_BATCH_TRACED};
 
     fn bucket(origin: SampleOrigin, addr: u64, epoch: u64) -> SampleBucket {
         SampleBucket {

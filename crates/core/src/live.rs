@@ -16,17 +16,23 @@
 //! 3. freezes incarnations the kernel no longer knows (exited or
 //!    churned VMs): their final rescan has already happened, so their
 //!    indexes are immutable from then on — and indexes that never
-//!    received a sample are dropped outright.
+//!    received a sample are dropped outright;
+//! 4. appends the batch's `(seq, journal span, dropped, evicted)` to
+//!    the per-batch loss ledger when the daemon journaled it as a
+//!    traced record — the ledger lineage reads, which the batch path
+//!    builds from the journal at load.
 //!
 //! The engine holds no sample database of its own in a session: it
 //! resolves the daemon's (`Oprofile::db`, shared by handle).
 //! [`LiveEngine::snapshot`] delegates to [`ResolutionEngine::resolve`]
 //! over it: O(aggregate size) — proportional to the number of distinct
-//! buckets and report rows, *independent of epoch depth and of how
-//! many samples arrived* — and structurally bit-identical to the batch
-//! report because it runs the very same resolve code over the very
-//! same inputs. [`LiveEngine::seal`] does a final rescan, after which
-//! the snapshot equals the offline report exactly
+//! buckets and report rows plus one lineage step per traced batch,
+//! *independent of epoch depth, of how many samples arrived and of
+//! the journal's length* (a snapshot reads no journal byte) — and
+//! structurally bit-identical to the batch report because it runs the
+//! very same resolve code over the very same inputs.
+//! [`LiveEngine::seal`] does a final rescan, after which the snapshot
+//! equals the offline report exactly
 //! (`tests/fault_matrix.rs` checks the three-way identity under the
 //! full fault matrix). A standalone engine (`viprof top`, benches)
 //! owns a fresh database instead; its caller merges each batch into
@@ -54,7 +60,7 @@ use viprof_telemetry::{names, Counter, Stage, Telemetry, TraceCtx, TraceLayer};
 
 use crate::bootmap::BootMap;
 use crate::codemap::{map_prefix, CodeMapSet};
-use crate::engine::ResolutionEngine;
+use crate::engine::{BatchLoss, ResolutionEngine};
 use crate::flatindex::FlatIndex;
 use crate::resolve::{discover_keys, ResolutionQuality};
 use crate::session::{ReportSpec, SessionReport};
@@ -228,20 +234,30 @@ impl LiveEngine {
 
     /// Ingest one drained batch that is already merged into
     /// [`db`](Self::db): count its samples per incarnation, extend
-    /// affected indexes, freeze reaped incarnations. `seq` is the
-    /// batch's journal sequence number when journaling is on (it only
-    /// labels the batch event).
+    /// affected indexes, freeze reaped incarnations. `journaled` is
+    /// the batch's journal record when journaling is on — its sequence
+    /// number and, for a traced record, the journal span in its header
+    /// (what `Daemon::journal_batch` returned); a traced record adds
+    /// one entry to the loss ledger lineage reads.
     /// `ctx` is the daemon's drain span: live spans emitted while this
     /// batch is processed (extends, rebuilds, freezes) chain to it.
     pub fn on_batch(
         &mut self,
         kernel: &Kernel,
-        seq: Option<u64>,
+        journaled: Option<(u64, Option<TraceCtx>)>,
         batch: &SampleDb,
         ctx: Option<TraceCtx>,
     ) {
         if self.sealed {
             return;
+        }
+        if let Some((seq, Some(span))) = journaled {
+            self.engine.push_batch_loss(BatchLoss {
+                seq,
+                span,
+                dropped: batch.dropped,
+                evicted: batch.evicted,
+            });
         }
         self.span_parent = ctx;
         self.batches += 1;
@@ -256,8 +272,8 @@ impl LiveEngine {
                 names::EVENT_LIVE_BATCH,
                 "live batch ingested",
                 &[
-                    ("seq", seq.unwrap_or(u64::MAX)),
-                    ("journaled", seq.is_some() as u64),
+                    ("seq", journaled.map_or(u64::MAX, |(seq, _)| seq)),
+                    ("journaled", journaled.is_some() as u64),
                     ("samples", batch.total_samples()),
                     ("db_buckets", self.db.lock().len() as u64),
                 ],
@@ -282,7 +298,8 @@ impl LiveEngine {
     /// same resolve code as the batch engine over the same sample
     /// database, so a snapshot after [`seal`](Self::seal) is
     /// bit-identical to the offline report. Cost is proportional to
-    /// the number of distinct sample buckets plus report rows.
+    /// the number of distinct sample buckets plus report rows, plus
+    /// one step per traced batch for lineage: no journal byte is read.
     pub fn snapshot(&mut self, kernel: &Kernel, spec: &ReportSpec) -> SessionReport {
         self.engine.set_damage(self.damage());
         let report = self.engine.resolve(&self.db.lock(), kernel, spec);
@@ -574,11 +591,11 @@ impl DrainSink for LiveEngine {
     fn on_batch(
         &mut self,
         kernel: &Kernel,
-        seq: Option<u64>,
+        journaled: Option<(u64, Option<TraceCtx>)>,
         batch: &SampleDb,
         ctx: Option<TraceCtx>,
     ) {
-        LiveEngine::on_batch(self, kernel, seq, batch, ctx);
+        LiveEngine::on_batch(self, kernel, journaled, batch, ctx);
     }
 }
 
@@ -587,8 +604,9 @@ mod tests {
     use super::*;
     use crate::codemap::{map_path, render_map, CodeMapEntry};
     use crate::resolve::{ResolveOptions, ViprofResolver};
-    use oprofile::SampleBucket;
+    use oprofile::{Daemon, SampleBucket, SinkHandle, SAMPLE_JOURNAL_PATH};
     use sim_cpu::HwEvent;
+    use sim_os::JournalWriter;
 
     fn entry(addr: u64, size: u64, sig: &str) -> CodeMapEntry {
         CodeMapEntry {
@@ -628,7 +646,7 @@ mod tests {
     /// database, then hand it to the engine.
     fn drain(live: &mut LiveEngine, kernel: &Kernel, seq: u64, batch: &SampleDb) {
         live.db().merge(batch);
-        live.on_batch(kernel, Some(seq), batch, None);
+        live.on_batch(kernel, Some((seq, None)), batch, None);
     }
 
     fn snap_equals_batch(live: &mut LiveEngine, kernel: &Kernel) {
@@ -641,6 +659,96 @@ mod tests {
         assert_eq!(snap.lines, offline.lines);
         assert_eq!(snap.quality, offline.quality);
         assert_eq!(snap.incarnations, offline.incarnations);
+    }
+
+    /// Live lineage and trace export at 1 and 4 threads, each checked
+    /// against a batch engine loaded from the same kernel (and so from
+    /// its journal) over the same database. Returns the last snapshot.
+    fn lineage_equals_batch(live: &mut LiveEngine, kernel: &Kernel) -> SessionReport {
+        let (resolver, _) =
+            ViprofResolver::load_with(kernel, ResolveOptions::default()).expect("batch load");
+        let mut last = None;
+        for threads in [1, 4] {
+            let spec = ReportSpec::default().threads(threads);
+            let snap = live.snapshot(kernel, &spec);
+            let offline = ResolutionEngine::build(&resolver).resolve(&live.db(), kernel, &spec);
+            assert_eq!(snap.lineage, offline.lineage, "threads={threads}");
+            assert_eq!(
+                snap.trace.to_chrome_json(),
+                offline.trace.to_chrome_json(),
+                "threads={threads}"
+            );
+            last = Some(snap);
+        }
+        last.expect("two thread counts ran")
+    }
+
+    #[test]
+    fn snapshot_lineage_comes_from_the_ledger_not_the_journal() {
+        let mut kernel = Kernel::new();
+        let pid = kernel.spawn("java");
+        let key = ProcKey::from(pid);
+        let registry = Telemetry::new();
+        let live = Arc::new(Mutex::new(LiveEngine::new(LiveSpec::new())));
+        let sink = Some(SinkHandle::new(live.clone()));
+        let journal = Some(Arc::new(Mutex::new(JournalWriter::create(
+            &mut kernel.vfs,
+            SAMPLE_JOURNAL_PATH,
+        ))));
+        // (samples, dropped, evicted, traced record), drained in order
+        // through the daemon's own journal and sink calls.
+        let stream = [
+            (5, 2, 0, true),
+            (3, 0, 1, true),
+            // A trivial empty window: neither journaled nor delivered.
+            (0, 0, 0, true),
+            // An untraced v1 record: its losses stay "untraced".
+            (4, 3, 0, false),
+            (2, 1, 2, true),
+        ];
+        for (epoch, &(samples, dropped, evicted, traced)) in (0u64..).zip(&stream) {
+            let addr = 0x2000_0000 + epoch * 0x100;
+            write_map(
+                &mut kernel,
+                key,
+                epoch,
+                &[entry(addr, 0x80, &format!("M{epoch}.run()V"))],
+            );
+            let mut batch = jit_batch(key, addr + 0x10, epoch, samples);
+            batch.dropped = dropped;
+            batch.evicted = evicted;
+            live.lock().db().merge(&batch);
+            let journaled = Daemon::journal_batch(
+                &journal,
+                &mut kernel.vfs,
+                &batch,
+                None,
+                traced.then_some(&registry),
+            );
+            Daemon::notify_sink(&sink, &kernel, journaled, &batch, None);
+            lineage_equals_batch(&mut live.lock(), &kernel);
+        }
+        let mut live = live.lock();
+        assert_eq!(live.batches(), 4, "the empty window is never delivered");
+
+        live.seal(&kernel);
+        let sealed = lineage_equals_batch(&mut live, &kernel);
+        assert_eq!(sealed.lineage.total("dropped"), 6);
+        assert_eq!(sealed.lineage.total("evicted"), 3);
+        let text = sealed.lineage.render_text();
+        assert!(text.contains("journal batch seq 3"), "{text}");
+        assert!(text.contains("untraced"), "{text}");
+
+        // With the journal gone, a snapshot still attributes every
+        // loss to its batch: snapshots read no journal byte.
+        kernel
+            .vfs
+            .remove(SAMPLE_JOURNAL_PATH)
+            .expect("journal written");
+        let spec = ReportSpec::default();
+        let after = live.snapshot(&kernel, &spec);
+        assert_eq!(after.lineage, sealed.lineage);
+        assert_eq!(after.trace.to_chrome_json(), sealed.trace.to_chrome_json());
     }
 
     #[test]

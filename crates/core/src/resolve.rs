@@ -18,10 +18,13 @@
 
 use crate::bootmap::BootMap;
 use crate::codemap::{CodeMapSet, JIT_MAP_DIR};
+use crate::engine::BatchLoss;
 use crate::error::ViprofError;
 use crate::recover::{recover_codemaps, RecoveryReport};
+use oprofile::{SampleDb, SAMPLE_JOURNAL_PATH};
 use sim_cpu::{Pid, ProcKey};
 use sim_jvm::bootimage::BOOT_IMAGE_NAME;
+use sim_os::journal::{self, split_traced_payload, KIND_SAMPLE_BATCH_TRACED};
 use sim_os::{ImageId, Kernel};
 use std::collections::HashMap;
 use viprof_telemetry::impl_to_json;
@@ -168,9 +171,10 @@ impl ResolveOptions {
     }
 }
 
-/// Loaded post-processing state: the boot map and every loadable
+/// Loaded post-processing state: the boot map, every loadable
 /// incarnation's code-map chain, which
-/// [`crate::engine::ResolutionEngine::build`] flattens.
+/// [`crate::engine::ResolutionEngine::build`] flattens, and the sample
+/// journal's per-batch loss ledger, which the engine's lineage reads.
 #[derive(Debug, Default)]
 pub struct ViprofResolver {
     bootmap: BootMap,
@@ -178,6 +182,7 @@ pub struct ViprofResolver {
     boot_image: Option<ImageId>,
     /// Incarnations whose map sets failed to load (skipped, not fatal).
     failed_keys: Vec<ProcKey>,
+    ledger: Vec<BatchLoss>,
 }
 
 impl ViprofResolver {
@@ -220,6 +225,7 @@ impl ViprofResolver {
                 codemaps,
                 boot_image,
                 failed_keys,
+                ledger: loss_ledger(kernel),
             },
             report,
         ))
@@ -247,6 +253,35 @@ impl ViprofResolver {
     pub fn failed_pids(&self) -> &[ProcKey] {
         &self.failed_keys
     }
+
+    /// The sample journal's per-batch loss ledger, in journal order.
+    pub(crate) fn ledger(&self) -> &[BatchLoss] {
+        &self.ledger
+    }
+}
+
+/// Read the loss ledger from one scan of the sample journal: an entry
+/// per traced batch record whose body decodes, its loss counts read
+/// from the body's header without building the batch. Empty when the
+/// session never journaled.
+fn loss_ledger(kernel: &Kernel) -> Vec<BatchLoss> {
+    let Some(scan) = journal::scan(&kernel.vfs, SAMPLE_JOURNAL_PATH) else {
+        return Vec::new();
+    };
+    scan.records
+        .iter()
+        .filter(|rec| rec.kind == KIND_SAMPLE_BATCH_TRACED)
+        .filter_map(|rec| {
+            let (span, body) = split_traced_payload(&rec.payload)?;
+            let (dropped, evicted) = SampleDb::losses_from_bytes(body).ok()?;
+            Some(BatchLoss {
+                seq: rec.seq,
+                span,
+                dropped,
+                evicted,
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]

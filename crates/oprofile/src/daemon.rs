@@ -160,15 +160,20 @@ pub const DAEMON_IMAGE: &str = "oprofiled";
 /// engine feeds from. Fired after a drained window has been merged into
 /// the shared database and journaled, for every batch that carries
 /// samples or loss accounting (trivial empty windows are skipped, the
-/// same rule the journal applies). `seq` is the journal sequence number
-/// of the batch's record, `None` when the session runs unjournaled.
-/// `ctx` is the drain span that delivered the batch — the causal parent
-/// for any spans the sink opens — `None` when the session is untraced.
+/// same rule the journal applies). `journaled` is what
+/// [`Daemon::journal_batch`] wrote: the record's sequence number and,
+/// for a traced record, the journal span in its header — `None` when
+/// the session runs unjournaled. A journaled session's sink therefore
+/// sees the journal's record stream itself, and can keep per-record
+/// state (the live engine's loss ledger) without reading the journal
+/// back. `ctx` is the drain span that delivered the batch — the causal
+/// parent for any spans the sink opens — `None` when the session is
+/// untraced.
 pub trait DrainSink: Send {
     fn on_batch(
         &mut self,
         kernel: &Kernel,
-        seq: Option<u64>,
+        journaled: Option<(u64, Option<TraceCtx>)>,
         batch: &SampleDb,
         ctx: Option<TraceCtx>,
     );
@@ -190,11 +195,11 @@ impl SinkHandle {
     pub fn on_batch(
         &self,
         kernel: &Kernel,
-        seq: Option<u64>,
+        journaled: Option<(u64, Option<TraceCtx>)>,
         batch: &SampleDb,
         ctx: Option<TraceCtx>,
     ) {
-        self.0.lock().on_batch(kernel, seq, batch, ctx);
+        self.0.lock().on_batch(kernel, journaled, batch, ctx);
     }
 }
 
@@ -354,14 +359,14 @@ impl Daemon {
         let n = batch.total_samples();
         self.drains += 1;
         self.last_drain_end = now;
-        let seq = Daemon::journal_batch(
+        let journaled = Daemon::journal_batch(
             &self.journal,
             &mut ctx.kernel.vfs,
             &batch,
             drain_span,
             self.telemetry.as_ref().map(|t| &t.registry),
         );
-        Daemon::notify_sink(&self.sink, ctx.kernel, seq, &batch, drain_span);
+        Daemon::notify_sink(&self.sink, ctx.kernel, journaled, &batch, drain_span);
         if let Some(t) = &self.telemetry {
             t.note_drain(occupancy, &batch, cycles, self.journal.is_some(), dead);
             if let Some(span) = drain_span {
@@ -389,8 +394,9 @@ impl Daemon {
     /// the batch carries anything worth replaying). Journal appends are
     /// part of the drain's existing I/O budget — no extra cycles — so
     /// journaled and unjournaled runs stay cycle-identical. Returns the
-    /// sequence number of the appended record, `None` when nothing was
-    /// journaled (no journal, or a trivial batch).
+    /// appended record's sequence number and the journal span written
+    /// into its header (`None` for an untraced record); `None` when
+    /// nothing was journaled (no journal, or a trivial batch).
     ///
     /// When a registry is supplied the append is wrapped in a
     /// `span.journal_batch` child of `parent`, the record is written as
@@ -405,13 +411,13 @@ impl Daemon {
         batch: &SampleDb,
         parent: Option<TraceCtx>,
         registry: Option<&Telemetry>,
-    ) -> Option<u64> {
+    ) -> Option<(u64, Option<TraceCtx>)> {
         let journal = journal.as_ref()?;
         if batch.total_samples() == 0 && batch.dropped == 0 && batch.evicted == 0 {
             return None;
         }
         let body = batch.to_bytes();
-        let seq = match registry {
+        Some(match registry {
             Some(t) => {
                 let span = t.trace_begin(TraceLayer::Journal, names::SPAN_JOURNAL_BATCH, parent);
                 let payload = encode_traced_payload(span, &body);
@@ -427,29 +433,29 @@ impl Daemon {
                         ("evicted", batch.evicted),
                     ],
                 );
-                seq
+                (seq, Some(span))
             }
-            None => journal.lock().append(vfs, KIND_SAMPLE_BATCH, &body),
-        };
-        Some(seq)
+            None => (journal.lock().append(vfs, KIND_SAMPLE_BATCH, &body), None),
+        })
     }
 
     /// Hand a non-trivial drained batch to `sink`. Uses the same
     /// triviality rule as [`Daemon::journal_batch`], so a journaled
     /// session's sink sees exactly the journaled record stream (with
-    /// matching sequence numbers) and an unjournaled one sees the same
-    /// batches with `seq: None`. `ctx` is the drain span handed through
-    /// to the sink as causal parent.
+    /// matching sequence numbers and journal spans, as `journal_batch`
+    /// returned them) and an unjournaled one sees the same batches with
+    /// `journaled: None`. `ctx` is the drain span handed through to the
+    /// sink as causal parent.
     pub fn notify_sink(
         sink: &Option<SinkHandle>,
         kernel: &Kernel,
-        seq: Option<u64>,
+        journaled: Option<(u64, Option<TraceCtx>)>,
         batch: &SampleDb,
         ctx: Option<TraceCtx>,
     ) {
         if let Some(sink) = sink {
             if batch.total_samples() > 0 || batch.dropped > 0 || batch.evicted > 0 {
-                sink.on_batch(kernel, seq, batch, ctx);
+                sink.on_batch(kernel, journaled, batch, ctx);
             }
         }
     }
@@ -589,14 +595,14 @@ impl MachineService for Daemon {
         let (batch, cycles, dead) = Daemon::drain_batch(&self.driver, &self.db, &self.cost);
         self.drains += 1;
         self.last_drain_end = now;
-        let seq = Daemon::journal_batch(
+        let journaled = Daemon::journal_batch(
             &self.journal,
             &mut ctx.kernel.vfs,
             &batch,
             drain_span,
             self.telemetry.as_ref().map(|t| &t.registry),
         );
-        Daemon::notify_sink(&self.sink, ctx.kernel, seq, &batch, drain_span);
+        Daemon::notify_sink(&self.sink, ctx.kernel, journaled, &batch, drain_span);
         if let Some(t) = &self.telemetry {
             t.note_drain(occupancy, &batch, cycles, self.journal.is_some(), dead);
             if let Some(span) = drain_span {

@@ -193,6 +193,25 @@ impl SampleDb {
 
     /// Parse a serialized sample file.
     pub fn from_bytes(data: &[u8]) -> Result<SampleDb, String> {
+        let mut db = SampleDb::default();
+        let (dropped, evicted) = Self::walk(data, |bucket, count| db.add(bucket, count))?;
+        db.dropped = dropped;
+        db.evicted = evicted;
+        Ok(db)
+    }
+
+    /// The `(dropped, evicted)` loss counts of a serialized sample
+    /// file, read without building its bucket map. `Ok` exactly when
+    /// [`from_bytes`](Self::from_bytes) is, with the same counts: every
+    /// bucket record is still walked and checked.
+    pub fn losses_from_bytes(data: &[u8]) -> Result<(u64, u64), String> {
+        Self::walk(data, |_, _| {})
+    }
+
+    /// Walk a serialized sample file: check the header and every bucket
+    /// record, hand each decoded `(bucket, count)` to `visit`, and
+    /// return the header's `(dropped, evicted)`.
+    fn walk(data: &[u8], mut visit: impl FnMut(SampleBucket, u64)) -> Result<(u64, u64), String> {
         if data.len() < 24 || &data[..4] != b"OPDB" {
             return Err("bad magic".into());
         }
@@ -211,11 +230,6 @@ impl SampleDb {
             0
         };
         let n = data.u64();
-        let mut db = SampleDb {
-            dropped,
-            evicted,
-            ..SampleDb::default()
-        };
         for _ in 0..n {
             if data.0.len() < 25 + 25 {
                 return Err("truncated sample record".into());
@@ -245,7 +259,7 @@ impl SampleDb {
             let addr = data.u64();
             let epoch = data.u64();
             let count = data.u64();
-            db.add(
+            visit(
                 SampleBucket {
                     origin,
                     event,
@@ -255,7 +269,7 @@ impl SampleDb {
                 count,
             );
         }
-        Ok(db)
+        Ok((dropped, evicted))
     }
 }
 
@@ -451,6 +465,55 @@ mod tests {
         let back = SampleDb::from_bytes(&v1).unwrap();
         assert_eq!(back, db);
         assert_eq!(back.evicted, 0);
+    }
+
+    #[test]
+    fn loss_reader_accepts_exactly_what_from_bytes_accepts() {
+        let agree = |bytes: &[u8]| {
+            let full = SampleDb::from_bytes(bytes).map(|db| (db.dropped, db.evicted));
+            assert_eq!(SampleDb::losses_from_bytes(bytes), full, "body {bytes:?}");
+        };
+        let mut db = SampleDb::new();
+        db.add(img_bucket(0x40, HwEvent::Cycles), 3);
+        db.add(
+            SampleBucket {
+                origin: SampleOrigin::JitApp {
+                    pid: Pid(4),
+                    gen: 0,
+                },
+                event: HwEvent::L2Miss,
+                addr: 0x6200_0000,
+                epoch: 7,
+            },
+            5,
+        );
+        db.dropped = 6;
+        db.evicted = 2;
+        let v3 = db.to_bytes();
+        let mut v2 = v3.clone();
+        v2[4..8].copy_from_slice(&2u32.to_le_bytes());
+        let mut v1 = b"OPDB".to_vec();
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&db.dropped.to_le_bytes());
+        v1.extend_from_slice(&v3[24..]);
+        assert_eq!(SampleDb::losses_from_bytes(&v3), Ok((6, 2)));
+        assert_eq!(SampleDb::losses_from_bytes(&v1), Ok((6, 0)));
+        for (body, header_len) in [(&v1, 24), (&v2, 32), (&v3, 32)] {
+            for cut in 0..=body.len() {
+                agree(&body[..cut]);
+            }
+            // Each 50-byte bucket record: origin tag at +0, event at +25.
+            for record in 0..db.len() {
+                let tag_at = header_len + record * 50;
+                for at in [tag_at, tag_at + 25] {
+                    for value in 0..=255u8 {
+                        let mut bytes = body.clone();
+                        bytes[at] = value;
+                        agree(&bytes);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -230,7 +230,7 @@ impl Oprofile {
         );
         let (batch, cycles, dead) =
             Daemon::drain_batch(&self.driver, &self.db, &self.config.cost);
-        let seq = Daemon::journal_batch(
+        let journaled = Daemon::journal_batch(
             &self.sample_journal,
             &mut machine.kernel.vfs,
             &batch,
@@ -240,7 +240,7 @@ impl Oprofile {
         Daemon::notify_sink(
             &self.config.drain_sink,
             &machine.kernel,
-            seq,
+            journaled,
             &batch,
             Some(flush_span),
         );

@@ -96,8 +96,11 @@ const RECORD_OVERHEAD: usize = HEADER_LEN + 4 + 1;
 
 // --- CRC32 (IEEE 802.3, the zlib polynomial) -------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic byte-at-a-time
+/// table; `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k`
+/// zero bytes, so eight table lookups fold eight input bytes at once.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -106,13 +109,23 @@ const fn crc32_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// Incremental CRC32 hasher (no external crates in the simulator).
 #[derive(Debug, Clone)]
@@ -132,10 +145,25 @@ impl Crc32 {
     }
 
     pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            let idx = ((self.state ^ b as u32) & 0xFF) as usize;
-            self.state = CRC_TABLE[idx] ^ (self.state >> 8);
+        let t = &CRC_TABLES;
+        let mut crc = self.state;
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
         }
+        for &b in words.remainder() {
+            crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        self.state = crc;
     }
 
     pub fn finalize(&self) -> u32 {
@@ -478,6 +506,62 @@ mod tests {
         h.update(b"1234");
         h.update(b"56789");
         assert_eq!(h.finalize(), crc32(b"123456789"));
+    }
+
+    /// The byte-at-a-time CRC the slicing kernel must reproduce,
+    /// computed bit by bit so it shares no table with the kernel.
+    fn bytewise_crc_update(mut state: u32, bytes: &[u8]) -> u32 {
+        for &b in bytes {
+            state ^= b as u32;
+            for _ in 0..8 {
+                state = if state & 1 != 0 {
+                    0xEDB8_8320 ^ (state >> 1)
+                } else {
+                    state >> 1
+                };
+            }
+        }
+        state
+    }
+
+    #[test]
+    fn slicing_crc_matches_bytewise_at_every_length_and_offset() {
+        let mut rng = crate::rng::SplitMix64::new(0xC3C3);
+        let data: Vec<u8> = (0..4096 + 8).map(|_| rng.next_u64() as u8).collect();
+        for offset in 0..8 {
+            let mut reference = 0xFFFF_FFFF;
+            for len in 0..=4096 {
+                assert_eq!(
+                    crc32(&data[offset..offset + len]),
+                    reference ^ 0xFFFF_FFFF,
+                    "offset {offset}, length {len}"
+                );
+                reference = bytewise_crc_update(reference, &data[offset + len..offset + len + 1]);
+            }
+        }
+    }
+
+    #[test]
+    fn split_updates_equal_one_shot() {
+        crate::rng::check(256, |rng| {
+            let data = rng.vec_of(0..4097, |r| r.next_u64() as u8);
+            let offset = rng.below(8).min(data.len());
+            let data = &data[offset..];
+            let mut cuts = rng.vec_of(0..6, |r| r.below(data.len() + 1));
+            cuts.push(data.len());
+            cuts.sort_unstable();
+            let mut h = Crc32::new();
+            let mut at = 0;
+            for cut in cuts {
+                h.update(&data[at..cut]);
+                at = cut;
+            }
+            assert_eq!(h.finalize(), crc32(data));
+            assert_eq!(
+                h.finalize(),
+                bytewise_crc_update(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
+            );
+        });
     }
 
     #[test]
